@@ -150,6 +150,17 @@ class BenchmarkSpec:
 
 def run_benchmark(spec: BenchmarkSpec, se: Optional[SecureElement] = None) -> Histogram:
     """Measure ``spec.repetitions`` command/response round trips."""
+    return sample_benchmark(spec, se)[0]
+
+
+def sample_benchmark(
+    spec: BenchmarkSpec, se: Optional[SecureElement] = None
+) -> tuple[Histogram, list[float]]:
+    """Like :func:`run_benchmark`, also returning the modelled delays in order.
+
+    The delays are the latency model's samples alone, without host compute
+    time even when ``spec.include_compute_time`` adds it to the histogram.
+    """
     se = se if se is not None else SecureElement()
     origin = (
         ChannelOrigin.CONTACTLESS
@@ -162,6 +173,7 @@ def run_benchmark(spec: BenchmarkSpec, se: Optional[SecureElement] = None) -> Hi
         raise BenchmarkError(f"workload command does not parse: {exc}") from exc
     model = LatencyModel(spec.path, spec.seed, spec.params)
     hist = Histogram(bin_width_ms=spec.bin_width_ms, bin_count=spec.bin_count)
+    modelled: list[float] = []
     se.open_session(origin)
     for _ in range(spec.repetitions):
         started = time.perf_counter()
@@ -172,8 +184,9 @@ def run_benchmark(spec: BenchmarkSpec, se: Optional[SecureElement] = None) -> Hi
                 f"path {spec.path.value} unavailable: workload answered {resp.sw:04X}"
             )
         delay = model.sample_ms()
+        modelled.append(delay)
         if spec.include_compute_time:
             delay += compute_ms
         hist.add(delay)
     se.close_session(origin)
-    return hist
+    return hist, modelled

@@ -26,7 +26,7 @@ from .bench import (
     BenchmarkSpec,
     histogram_to_csv,
     render_ascii,
-    run_benchmark,
+    sample_benchmark,
 )
 from .hexutil import format_hex, parse_hex
 from .latency import AccessPath, LatencyModel, LatencyParams
@@ -195,8 +195,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
             params=params,
             include_compute_time=args.include_compute,
         )
-        hist = run_benchmark(spec)
-        samples = sorted(LatencyModel(path, args.seed, params).samples(args.reps))
+        hist, samples = sample_benchmark(spec)
+        samples.sort()
         median = samples[len(samples) // 2]
         summary = (
             f"{path.value}: reps={args.reps} min_ms={samples[0]:.1f} "

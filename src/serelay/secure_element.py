@@ -11,6 +11,7 @@ exceptions.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac
 from enum import Enum
@@ -83,6 +84,89 @@ def status(sw: int, data: bytes = b"") -> ResponseApdu:
     return ResponseApdu.from_sw(sw, data)
 
 
+# Every response except COMPUTE CC is a pure function of frozen applet
+# configuration, so each is encoded once per distinct configuration. A new
+# SecureElement is built for every run, hence module-level memos; they are
+# bounded because callers may construct arbitrarily many configurations.
+_RESPONSE_MEMO_SIZE = 32
+
+
+@functools.lru_cache(maxsize=_RESPONSE_MEMO_SIZE)
+def _ppse_fci(entries: tuple[tuple[bytes, int], ...]) -> bytes:
+    templates = [
+        TlvNode.constructed(
+            0x61,
+            [
+                TlvNode.primitive(0x4F, aid),
+                TlvNode.primitive(0x87, bytes((priority,))),
+            ],
+        )
+        for aid, priority in entries
+    ]
+    node = TlvNode.constructed(
+        0x6F,
+        [
+            TlvNode.primitive(0x84, PPSE_AID),
+            TlvNode.constructed(0xA5, [TlvNode.constructed(0xBF0C, templates)]),
+        ],
+    )
+    return node.encode()
+
+
+@functools.lru_cache(maxsize=_RESPONSE_MEMO_SIZE)
+def _payment_fci(aid: bytes, label: str) -> bytes:
+    node = TlvNode.constructed(
+        0x6F,
+        [
+            TlvNode.primitive(0x84, aid),
+            TlvNode.constructed(0xA5, [TlvNode.primitive(0x50, label.encode("ascii"))]),
+        ],
+    )
+    return node.encode()
+
+
+@functools.lru_cache(maxsize=_RESPONSE_MEMO_SIZE)
+def _gpo_body(aip: bytes, afl: bytes) -> bytes:
+    node = TlvNode.constructed(
+        0x77, [TlvNode.primitive(0x82, aip), TlvNode.primitive(0x94, afl)]
+    )
+    return node.encode()
+
+
+@functools.lru_cache(maxsize=_RESPONSE_MEMO_SIZE)
+def _mag_stripe_record(p: CardProfile) -> bytes:
+    node = TlvNode.constructed(
+        0x70,
+        [
+            TlvNode.primitive(0x9F6C, MAG_STRIPE_VERSION),
+            TlvNode.primitive(0x9F62, p.track1_cvc3_bitmap),
+            TlvNode.primitive(0x9F63, p.track1_unatc_bitmap),
+            TlvNode.primitive(0x56, p.track1()),
+            TlvNode.primitive(0x9F64, bytes((p.track1_atc_digits,))),
+            TlvNode.primitive(0x9F65, p.track2_cvc3_bitmap),
+            TlvNode.primitive(0x9F66, p.track2_unatc_bitmap),
+            TlvNode.primitive(0x9F6B, p.track2()),
+            TlvNode.primitive(0x9F67, bytes((p.track2_atc_digits,))),
+        ],
+    )
+    return node.encode()
+
+
+DEFAULT_CARD_LIST_PAYLOAD = TlvNode.constructed(
+    0xA5, [TlvNode.primitive(0x4F, PREPAID_AID)]
+).encode()
+DEFAULT_STATUS_PAYLOAD = TlvNode.constructed(
+    0xE3, [TlvNode.primitive(0x4F, PREPAID_AID)]
+).encode()
+DEFAULT_CARD_MANAGER_RESPONSE = TlvNode.constructed(
+    0x6F,
+    [
+        TlvNode.primitive(0x84, ISD_AID),
+        TlvNode.constructed(0xA5, [TlvNode.primitive(0xC0, bytes(87))]),
+    ],
+).encode()
+
+
 class Applet:
     """Base class: a registry entry answering SELECT and channel commands."""
 
@@ -108,32 +192,14 @@ class PpseApplet(Applet):
 
     def __init__(self, entries: Optional[Sequence[tuple[bytes, int]]] = None):
         super().__init__([PPSE_AID])
-        self.entries = tuple(entries) if entries is not None else (
-            (PREPAID_AID, 1),
-            (MASTERCARD_AID, 2),
+        self.entries = (
+            tuple((bytes(aid), priority) for aid, priority in entries)
+            if entries is not None
+            else ((PREPAID_AID, 1), (MASTERCARD_AID, 2))
         )
 
     def fci(self) -> bytes:
-        templates = [
-            TlvNode.constructed(
-                0x61,
-                [
-                    TlvNode.primitive(0x4F, aid),
-                    TlvNode.primitive(0x87, bytes((priority,))),
-                ],
-            )
-            for aid, priority in self.entries
-        ]
-        node = TlvNode.constructed(
-            0x6F,
-            [
-                TlvNode.primitive(0x84, PPSE_AID),
-                TlvNode.constructed(
-                    0xA5, [TlvNode.constructed(0xBF0C, templates)]
-                ),
-            ],
-        )
-        return node.encode()
+        return _ppse_fci(self.entries)
 
     def select(self, se: "SecureElement", origin: ChannelOrigin) -> ResponseApdu:
         return status(SW_SUCCESS, self.fci())
@@ -153,39 +219,14 @@ class PaymentApplet(Applet):
         super().__init__([aid])
         self.profile = profile
         self.label = label
-        self.aip = aip
-        self.afl = afl
+        self.aip = bytes(aip)
+        self.afl = bytes(afl)
 
     def fci(self) -> bytes:
-        node = TlvNode.constructed(
-            0x6F,
-            [
-                TlvNode.primitive(0x84, self.aid),
-                TlvNode.constructed(
-                    0xA5,
-                    [TlvNode.primitive(0x50, self.label.encode("ascii"))],
-                ),
-            ],
-        )
-        return node.encode()
+        return _payment_fci(self.aid, self.label)
 
     def record(self) -> bytes:
-        p = self.profile
-        node = TlvNode.constructed(
-            0x70,
-            [
-                TlvNode.primitive(0x9F6C, MAG_STRIPE_VERSION),
-                TlvNode.primitive(0x9F62, p.track1_cvc3_bitmap),
-                TlvNode.primitive(0x9F63, p.track1_unatc_bitmap),
-                TlvNode.primitive(0x56, p.track1()),
-                TlvNode.primitive(0x9F64, bytes((p.track1_atc_digits,))),
-                TlvNode.primitive(0x9F65, p.track2_cvc3_bitmap),
-                TlvNode.primitive(0x9F66, p.track2_unatc_bitmap),
-                TlvNode.primitive(0x9F6B, p.track2()),
-                TlvNode.primitive(0x9F67, bytes((p.track2_atc_digits,))),
-            ],
-        )
-        return node.encode()
+        return _mag_stripe_record(self.profile)
 
     def select(self, se: "SecureElement", origin: ChannelOrigin) -> ResponseApdu:
         if se.wallet_locked:
@@ -198,14 +239,7 @@ class PaymentApplet(Applet):
         if cmd.cla == 0x80 and cmd.ins == INS_GPO and (cmd.p1, cmd.p2) == (0, 0):
             if cmd.data != b"\x83\x00":
                 return status(SW_WRONG_DATA)
-            body = tlv.TlvNode.constructed(
-                0x77,
-                [
-                    TlvNode.primitive(0x82, self.aip),
-                    TlvNode.primitive(0x94, self.afl),
-                ],
-            )
-            return status(SW_SUCCESS, body.encode())
+            return status(SW_SUCCESS, _gpo_body(self.aip, self.afl))
         if cmd.cla == 0x00 and cmd.ins == INS_READ_RECORD:
             # single data file: SFI 1, record 1
             if (cmd.p1, cmd.p2) != (0x01, 0x0C):
@@ -246,16 +280,12 @@ class WalletControlApplet(Applet):
         status_payload: Optional[bytes] = None,
     ):
         super().__init__([WALLET_AID], internal_only=True)
-        if card_list_payload is None:
-            card_list_payload = TlvNode.constructed(
-                0xA5, [TlvNode.primitive(0x4F, PREPAID_AID)]
-            ).encode()
-        if status_payload is None:
-            status_payload = TlvNode.constructed(
-                0xE3, [TlvNode.primitive(0x4F, PREPAID_AID)]
-            ).encode()
-        self.card_list_payload = card_list_payload
-        self.status_payload = status_payload
+        self.card_list_payload = (
+            DEFAULT_CARD_LIST_PAYLOAD if card_list_payload is None else card_list_payload
+        )
+        self.status_payload = (
+            DEFAULT_STATUS_PAYLOAD if status_payload is None else status_payload
+        )
 
     def process(
         self, se: "SecureElement", origin: ChannelOrigin, cmd: CommandApdu
@@ -335,16 +365,7 @@ class CardManagerStub(Applet):
     def __init__(self, response_data: Optional[bytes] = None):
         super().__init__([ISD_AID, ISD_PREFIX_AID])
         if response_data is None:
-            filler = bytes(87)
-            response_data = TlvNode.constructed(
-                0x6F,
-                [
-                    TlvNode.primitive(0x84, ISD_AID),
-                    TlvNode.constructed(
-                        0xA5, [TlvNode.primitive(0xC0, filler)]
-                    ),
-                ],
-            ).encode()
+            response_data = DEFAULT_CARD_MANAGER_RESPONSE
         if len(response_data) != self.RESPONSE_DATA_LEN:
             raise ValueError(
                 f"card manager stub payload must be {self.RESPONSE_DATA_LEN} bytes"

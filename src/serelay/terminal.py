@@ -72,7 +72,10 @@ class TransactionStep:
     elapsed_ms: float
 
     @property
-    def sw(self) -> int:
+    def sw(self) -> Optional[int]:
+        """Status word, or ``None`` for a step that timed out with no response."""
+        if not self.rapdu:
+            return None
         return ResponseApdu.parse(self.rapdu).sw
 
 

@@ -161,8 +161,21 @@ def _decode_one(buf: bytes, off: int) -> tuple[TlvNode, int]:
     chunk = buf[off : off + length]
     off += length
     if tag[0] & CONSTRUCTED_BIT:
-        return TlvNode(tag=tag, children=tuple(decode(chunk))), off
-    return TlvNode(tag=tag, value=chunk), off
+        return _decoded_node(tag, b"", tuple(decode(chunk))), off
+    return _decoded_node(tag, chunk, ()), off
+
+
+def _decoded_node(tag: bytes, value: bytes, children: tuple) -> TlvNode:
+    """Node for a tag :func:`_read_tag` accepted, built without re-validation.
+
+    ``_read_tag`` already enforces every rule ``_validate_tag`` checks, and
+    :func:`_decode_one` puts a raw value only under a primitive tag, so
+    ``__post_init__`` would prove nothing new. The result is equal (and
+    hash-equal) to the validated node with the same fields.
+    """
+    node = object.__new__(TlvNode)
+    vars(node).update(tag=bytes(tag), value=bytes(value), children=children)
+    return node
 
 
 def decode(raw: bytes) -> list[TlvNode]:

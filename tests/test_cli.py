@@ -126,6 +126,19 @@ class TestBench:
         assert rc == 0
         assert "median_ms>1000: true" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("extra", [[], ["--include-compute"]])
+    def test_summary_lines_pinned(self, capsys, extra):
+        # min/median/max come from the modelled delays alone, compute time or not
+        rc = main(["bench", "--path", "all", "--reps", "200", "--seed", "3", *extra])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "external: reps=200 min_ms=23.2 median_ms=30.2 max_ms=39.1",
+            "internal: reps=200 min_ms=50.1 median_ms=65.0 max_ms=80.0",
+            "wifi: reps=200 min_ms=154.9 median_ms=220.1 max_ms=288.8",
+            "internet: reps=200 min_ms=236.8 median_ms=1209.7 max_ms=4952.0"
+            " median_ms>1000: true",
+        ]
+
     def test_zero_reps_is_usage_error(self):
         with pytest.raises(SystemExit) as exc_info:
             main(["bench", "--reps", "0"])

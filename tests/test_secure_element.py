@@ -27,16 +27,22 @@ from genutil import (
 from serelay import tlv
 from serelay.apdu import CommandApdu
 from serelay.hexutil import format_hex, parse_hex
-from serelay.profile import CardProfile, CountermeasurePolicy
+from serelay.profile import CardProfile, CountermeasurePolicy, luhn_check_digit
 from serelay.secure_element import (
+    CardManagerStub,
     ChannelOrigin,
+    ISD_AID,
     ISD_PREFIX_AID,
     MASTERCARD_AID,
     PPSE_AID,
     PREPAID_AID,
+    PaymentApplet,
+    PpseApplet,
     SecureElement,
     WALLET_AID,
+    WalletControlApplet,
 )
+from serelay.tlv import TlvNode
 
 INTERNAL = ChannelOrigin.INTERNAL
 CONTACTLESS = ChannelOrigin.CONTACTLESS
@@ -589,3 +595,177 @@ def test_state_machine_against_enumeration_oracle():
         assert se.wallet_locked == expected_locked, f"lock mismatch: {context}"
         cases += 1
     assert cases > 700
+
+
+# -- memoized static responses ------------------------------------------------
+#
+# The references below rebuild each response as a fresh, fully validated
+# TlvNode tree on every call, the way the card answered before its static
+# responses were memoized.
+
+
+def fresh_ppse_fci(entries) -> bytes:
+    templates = [
+        TlvNode.constructed(
+            0x61, [TlvNode.primitive(0x4F, aid), TlvNode.primitive(0x87, bytes((prio,)))]
+        )
+        for aid, prio in entries
+    ]
+    return TlvNode.constructed(
+        0x6F,
+        [
+            TlvNode.primitive(0x84, PPSE_AID),
+            TlvNode.constructed(0xA5, [TlvNode.constructed(0xBF0C, templates)]),
+        ],
+    ).encode()
+
+
+def fresh_payment_fci(aid: bytes, label: str) -> bytes:
+    return TlvNode.constructed(
+        0x6F,
+        [
+            TlvNode.primitive(0x84, aid),
+            TlvNode.constructed(0xA5, [TlvNode.primitive(0x50, label.encode("ascii"))]),
+        ],
+    ).encode()
+
+
+def fresh_gpo(aip: bytes, afl: bytes) -> bytes:
+    return TlvNode.constructed(
+        0x77, [TlvNode.primitive(0x82, aip), TlvNode.primitive(0x94, afl)]
+    ).encode()
+
+
+def fresh_record(p: CardProfile) -> bytes:
+    fields = [
+        (0x9F6C, bytes.fromhex("0001")),
+        (0x9F62, p.track1_cvc3_bitmap),
+        (0x9F63, p.track1_unatc_bitmap),
+        (0x56, p.track1()),
+        (0x9F64, bytes((p.track1_atc_digits,))),
+        (0x9F65, p.track2_cvc3_bitmap),
+        (0x9F66, p.track2_unatc_bitmap),
+        (0x9F6B, p.track2()),
+        (0x9F67, bytes((p.track2_atc_digits,))),
+    ]
+    return TlvNode.constructed(
+        0x70, [TlvNode.primitive(tag, value) for tag, value in fields]
+    ).encode()
+
+
+FRESH_CARD_LIST = TlvNode.constructed(0xA5, [TlvNode.primitive(0x4F, PREPAID_AID)]).encode()
+FRESH_STATUS = TlvNode.constructed(0xE3, [TlvNode.primitive(0x4F, PREPAID_AID)]).encode()
+FRESH_CARD_MANAGER = TlvNode.constructed(
+    0x6F,
+    [
+        TlvNode.primitive(0x84, ISD_AID),
+        TlvNode.constructed(0xA5, [TlvNode.primitive(0xC0, bytes(87))]),
+    ],
+).encode()
+
+DEFAULT_CONFIG = {
+    "profile": CardProfile(),
+    "entries": ((PREPAID_AID, 1), (MASTERCARD_AID, 2)),
+    "aid": PREPAID_AID,
+    "label": "MasterCard",
+    "aip": bytes.fromhex("0000"),
+    "afl": bytes.fromhex("08010100"),
+}
+CUSTOM_CONFIG = {
+    "profile": CardProfile(
+        pan="541333000000001" + str(luhn_check_digit("541333000000001")),
+        expiry="2912",
+        service_code="201",
+        discretionary="9876543210123",
+        track1_atc_digits=3,
+        cvc3_key=bytes(range(16)),
+    ),
+    "entries": ((MASTERCARD_AID, 1), (PREPAID_AID, 3), (bytes.fromhex("A0000000043060"), 4)),
+    "aid": MASTERCARD_AID,
+    "label": "Prepaid",
+    "aip": bytes.fromhex("0080"),
+    "afl": bytes.fromhex("08010100"),
+}
+
+
+def configured_se(config) -> SecureElement:
+    payment = PaymentApplet(
+        config["profile"],
+        aid=config["aid"],
+        label=config["label"],
+        aip=config["aip"],
+        afl=config["afl"],
+    )
+    applets = (PpseApplet(config["entries"]), payment, WalletControlApplet(), CardManagerStub())
+    return unlocked_se(profile=config["profile"], applets=applets)
+
+
+def static_responses(config) -> dict[str, bytes]:
+    """Data of every static response, from a freshly built SE."""
+    se = configured_se(config)
+    out = {
+        "list_cards": send(se, INTERNAL, LIST_CARDS_C),
+        "status": send(se, INTERNAL, GET_STATUS_C),
+        "card_manager": select(se, INTERNAL, ISD_PREFIX_AID),
+    }
+    se.open_session(CONTACTLESS)
+    out["ppse_fci"] = select(se, CONTACTLESS, PPSE_AID)
+    out["payment_fci"] = select(se, CONTACTLESS, config["aid"])
+    out["gpo"] = send(se, CONTACTLESS, GPO_C)
+    out["record"] = send(se, CONTACTLESS, READ_RECORD_C)
+    for name, resp in out.items():
+        assert resp.is_success, name
+    return {name: resp.data for name, resp in out.items()}
+
+
+def fresh_responses(config) -> dict[str, bytes]:
+    return {
+        "list_cards": FRESH_CARD_LIST,
+        "status": FRESH_STATUS,
+        "card_manager": FRESH_CARD_MANAGER,
+        "ppse_fci": fresh_ppse_fci(config["entries"]),
+        "payment_fci": fresh_payment_fci(config["aid"], config["label"]),
+        "gpo": fresh_gpo(config["aip"], config["afl"]),
+        "record": fresh_record(config["profile"]),
+    }
+
+
+class TestMemoizedResponses:
+    @pytest.mark.parametrize("config", [DEFAULT_CONFIG, CUSTOM_CONFIG], ids=["default", "custom"])
+    def test_identical_to_fresh_tree_encode(self, config):
+        # twice: the first SE may fill the memo, the second reads it back
+        for _ in range(2):
+            assert static_responses(config) == fresh_responses(config)
+
+    def test_configurations_do_not_share_responses(self):
+        # interleaved, so a memo keyed too coarsely would leak one into the other
+        default_a = static_responses(DEFAULT_CONFIG)
+        custom = static_responses(CUSTOM_CONFIG)
+        default_b = static_responses(DEFAULT_CONFIG)
+        assert default_a == default_b == fresh_responses(DEFAULT_CONFIG)
+        assert custom == fresh_responses(CUSTOM_CONFIG)
+        for name in ("ppse_fci", "payment_fci", "gpo", "record"):
+            assert custom[name] != default_a[name], name
+
+    def test_profiles_never_swap_records(self):
+        profiles = [DEFAULT_CONFIG["profile"], CUSTOM_CONFIG["profile"]]
+        ses = [unlocked_se(profile=p) for p in profiles]
+        for se in ses:
+            se.open_session(CONTACTLESS)
+            assert send(se, CONTACTLESS, SELECT_AID_C).is_success
+        for _ in range(2):
+            for se, profile in zip(ses, profiles):
+                record = send(se, CONTACTLESS, READ_RECORD_C).data
+                assert record == fresh_record(profile)
+                assert tlv.find(tlv.decode(record), [0x70, 0x9F6B]) == profile.track2()
+
+    def test_consecutive_compute_cc_responses_differ(self):
+        se = unlocked_se(atc=0x11)
+        se.open_session(CONTACTLESS)
+        assert send(se, CONTACTLESS, SELECT_AID_C).is_success
+        first = send(se, CONTACTLESS, COMPUTE_CC_C)
+        second = send(se, CONTACTLESS, COMPUTE_CC_C)
+        assert first.is_success and second.is_success
+        assert first.data != second.data
+        atcs = [tlv.find(tlv.decode(r.data), [0x77, 0x9F36]) for r in (first, second)]
+        assert atcs == [parse_hex("0012"), parse_hex("0013")]

@@ -27,6 +27,7 @@ from serelay.terminal import (
     MalformedTrack,
     TerminalConfig,
     TransactionReport,
+    TransactionStep,
     parse_afl,
     parse_track2,
     run_transaction,
@@ -242,6 +243,17 @@ class TestTimeout:
     def test_total_time_reflects_injected_delays(self):
         report = self.run_with_ceiling(500.0)
         assert report.total_ms > 500.0
+
+
+class TestTransactionStep:
+    def test_sw_of_answered_step(self):
+        step = TransactionStep("gpo", parse_hex("80A8000002830000"), parse_hex("6985"), 1.0)
+        assert step.sw == 0x6985
+
+    def test_sw_of_unanswered_step_is_none(self):
+        # a step that timed out over a socket records an empty response
+        step = TransactionStep("select_ppse", parse_hex("00A4040000"), b"", 500.0)
+        assert step.sw is None
 
 
 class TestReportSerialization:

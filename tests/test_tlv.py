@@ -2,9 +2,21 @@ import random
 
 import pytest
 
-from genutil import GPO_R, SELECT_AID_R, SELECT_PPSE_R, random_tlv_forest
+from genutil import (
+    COMPUTE_CC_C,
+    GPO_R,
+    READ_RECORD_C,
+    SELECT_AID_C,
+    SELECT_AID_R,
+    SELECT_PPSE_R,
+    SELECT_WALLET_C,
+    UNLOCK_C,
+    random_tlv_forest,
+)
 from serelay import tlv
+from serelay.apdu import CommandApdu
 from serelay.hexutil import parse_hex
+from serelay.secure_element import ChannelOrigin, SecureElement
 from serelay.tlv import TlvError, TlvNode, tag_bytes
 
 
@@ -173,3 +185,76 @@ class TestRoundTrip:
             except TlvError:
                 continue
             assert tlv.encode(nodes) == raw
+
+
+def _revalidated(node: TlvNode) -> TlvNode:
+    """The same tree rebuilt through the public, validating constructor."""
+    return TlvNode(
+        tag=node.tag,
+        value=node.value,
+        children=tuple(_revalidated(child) for child in node.children),
+    )
+
+
+def _card_responses() -> list[bytes]:
+    """Golden traces plus the record and checksum of the default card."""
+    se = SecureElement()
+    se.open_session(ChannelOrigin.INTERNAL)
+    for cmd in (SELECT_WALLET_C, UNLOCK_C, SELECT_AID_C):
+        se.process(ChannelOrigin.INTERNAL, CommandApdu.from_hex(cmd))
+    live = [
+        se.process(ChannelOrigin.INTERNAL, CommandApdu.from_hex(cmd)).data
+        for cmd in (READ_RECORD_C, COMPUTE_CC_C)
+    ]
+    assert all(live)
+    return [parse_hex(r)[:-2] for r in (SELECT_PPSE_R, SELECT_AID_R, GPO_R)] + live
+
+
+# tag-level faults, each fed to the decoder behind a valid enclosing length
+MALFORMED_TAG_INPUTS = [
+    "9F",  # announces a second tag byte that is missing
+    "9F81",  # continuation bit set on the last available byte
+    "9F818101 00",  # four tag bytes
+    "A102FFFF",  # constructed value whose nested tag never terminates
+    "A1039F8181",  # nested tag truncated inside a constructed value
+]
+
+
+class TestDecodedNodes:
+    def test_golden_responses_equal_validated_trees(self):
+        for raw in _card_responses():
+            decoded = tlv.decode(raw)
+            validated = [_revalidated(node) for node in decoded]
+            assert decoded == validated
+            assert [hash(n) for n in decoded] == [hash(n) for n in validated]
+            assert tlv.encode(validated) == raw
+
+    def test_decoded_gpo_equals_hand_built_tree(self):
+        expected = TlvNode.constructed(
+            0x77,
+            [
+                TlvNode.primitive(0x82, parse_hex("0000")),
+                TlvNode.primitive(0x94, parse_hex("08010100")),
+            ],
+        )
+        (decoded,) = tlv.decode(parse_hex(GPO_R)[:-2])
+        assert decoded == expected and hash(decoded) == hash(expected)
+        assert {decoded, expected} == {expected}
+
+    def test_decoded_fields_are_bytes_for_bytearray_input(self):
+        (node,) = tlv.decode(bytearray(parse_hex(GPO_R)[:-2]))
+        for n in (node, *node.children):
+            assert type(n.tag) is bytes and type(n.value) is bytes
+            assert type(n.children) is tuple
+
+    @pytest.mark.parametrize("text", MALFORMED_TAG_INPUTS)
+    def test_malformed_tags_still_rejected(self, text):
+        with pytest.raises(TlvError):
+            tlv.decode(parse_hex(text))
+
+    @pytest.mark.parametrize("tag", [b"\x9f", b"\x84\x01", b"\x9f\x81\x81\x01", b"\x9f\x81"])
+    def test_public_constructors_still_validate(self, tag):
+        with pytest.raises(TlvError):
+            TlvNode(tag=tag, value=b"")
+        with pytest.raises(TlvError):
+            TlvNode.primitive(tag, b"")
