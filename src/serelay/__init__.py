@@ -6,7 +6,7 @@ a card emulator on the attacker's side, a POS terminal driving contactless
 Mag-Stripe transactions, latency models for the relevant access paths, and
 the countermeasures that break the attack.
 """
-from .apdu import Aid, CommandApdu, MalformedApdu, ResponseApdu, UnsupportedLength
+from .apdu import CommandApdu, MalformedApdu, ResponseApdu, UnsupportedLength
 from .latency import AccessPath, LatencyModel, LatencyParams, VirtualClock, WallClock
 from .profile import CardProfile, CountermeasurePolicy
 from .secure_element import ChannelOrigin, SecureElement
@@ -17,7 +17,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AccessPath",
-    "Aid",
     "CardProfile",
     "ChannelOrigin",
     "CommandApdu",

@@ -48,13 +48,6 @@ class CommandApdu:
         if not isinstance(self.data, bytes):
             object.__setattr__(self, "data", bytes(self.data))
 
-    @property
-    def case(self) -> int:
-        """ISO 7816-4 case number (1-4) of this command."""
-        if self.data:
-            return 4 if self.le is not None else 3
-        return 2 if self.le is not None else 1
-
     @classmethod
     def parse(cls, raw: bytes) -> "CommandApdu":
         """Decode a short-form command frame.
@@ -146,22 +139,3 @@ class ResponseApdu:
     def hex(self) -> str:
         return format_hex(self.to_bytes())
 
-
-@dataclass(frozen=True)
-class Aid:
-    """Application identifier; registries and policies key on it."""
-
-    value: bytes
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.value, bytes):
-            object.__setattr__(self, "value", bytes(self.value))
-        if not 5 <= len(self.value) <= 16:
-            raise ValueError(f"AID must be 5-16 bytes, got {len(self.value)}")
-
-    @classmethod
-    def from_hex(cls, text: str) -> "Aid":
-        return cls(parse_hex(text))
-
-    def hex(self) -> str:
-        return format_hex(self.value)

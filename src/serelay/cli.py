@@ -29,7 +29,7 @@ from .bench import (
     sample_benchmark,
 )
 from .hexutil import format_hex, parse_hex
-from .latency import AccessPath, LatencyModel, LatencyParams
+from .latency import AccessPath, LatencyModel, LatencyParams, WallClock
 from .profile import CardProfile, CountermeasurePolicy
 from .relay import (
     CardEmulator,
@@ -38,9 +38,15 @@ from .relay import (
     SecureElementHost,
     SocketTransport,
 )
-from .scenarios import resolve_seed, run_pos_direct, run_relay_attack
+from .scenarios import (
+    RelayAttackResult,
+    _run_relayed_transaction,
+    resolve_seed,
+    run_pos_direct,
+    run_relay_attack,
+)
 from .secure_element import ChannelOrigin, SecureElement
-from .terminal import TerminalConfig, TransactionReport, run_transaction
+from .terminal import TransactionReport
 
 logger = logging.getLogger(__name__)
 
@@ -113,16 +119,8 @@ def _load_latency_params(path: Optional[str]) -> Optional[LatencyParams]:
         raise ValueError(f"bad latency parameter file {path}: {exc}") from None
 
 
-def _write_report(report: TransactionReport, out_dir: Optional[str]) -> None:
-    if not out_dir:
-        return
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(report.to_json() + "\n")
-    (out / "trace.txt").write_text(report.render_trace() + "\n")
-
-
-def _print_report(report: TransactionReport) -> None:
+def _finish(report: TransactionReport, out_dir: Optional[str]) -> int:
+    """Print and save the report; the exit code says whether it was approved."""
     print(report.render_trace())
     if report.pan:
         print(
@@ -135,6 +133,20 @@ def _print_report(report: TransactionReport) -> None:
             f"cvc3_t1={format_hex(report.cvc3_track1 or b'')} "
             f"cvc3_t2={format_hex(report.cvc3_track2 or b'')}"
         )
+    if out_dir:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "report.json").write_text(report.to_json() + "\n")
+        (out / "trace.txt").write_text(report.render_trace() + "\n")
+    return 0 if report.approved else 1
+
+
+def _finish_relay(result: RelayAttackResult, out_dir: Optional[str]) -> int:
+    if result.session_error is not None:
+        print(f"session open refused: {result.session_error}")
+        return 1
+    assert result.report is not None
+    return _finish(result.report, out_dir)
 
 
 def cmd_pos_direct(args: argparse.Namespace) -> int:
@@ -150,9 +162,7 @@ def cmd_pos_direct(args: argparse.Namespace) -> int:
         timeout_ms=args.timeout_ms,
         atc=args.atc,
     )
-    _print_report(report)
-    _write_report(report, args.out)
-    return 0 if report.approved else 1
+    return _finish(report, args.out)
 
 
 def cmd_relay_attack(args: argparse.Namespace) -> int:
@@ -168,13 +178,7 @@ def cmd_relay_attack(args: argparse.Namespace) -> int:
         transport=args.transport,
         atc=args.atc,
     )
-    if result.session_error is not None:
-        print(f"session open refused: {result.session_error}")
-        return 1
-    assert result.report is not None
-    _print_report(result.report)
-    _write_report(result.report, args.out)
-    return 0 if result.report.approved else 1
+    return _finish_relay(result, args.out)
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -291,11 +295,8 @@ def cmd_se_host(args: argparse.Namespace) -> int:
         policy=_load_policy(args.policy),
         atc=args.atc,
     )
-    host, port = args.listen
-    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    listener.bind((host, port))
-    listener.listen(1)
+    host, _port = args.listen
+    listener = socket.create_server(args.listen, backlog=1)
     print(f"secure element listening on {host}:{listener.getsockname()[1]}")
     try:
         while True:
@@ -349,28 +350,20 @@ def cmd_relay_app(args: argparse.Namespace) -> int:
 
 
 def cmd_emulator(args: argparse.Namespace) -> int:
-    host, port = args.listen
-    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    listener.bind((host, port))
-    listener.listen(1)
+    host, _port = args.listen
+    listener = socket.create_server(args.listen, backlog=1)
     print(f"card emulator waiting for the relay app on {host}:{listener.getsockname()[1]}")
     conn, peer = listener.accept()
     listener.close()
     print(f"relay app connected from {peer[0]}:{peer[1]}; activating field")
-    emulator = CardEmulator(SocketTransport(conn))
-    seed = resolve_seed(args.seed)
-    try:
-        emulator.activate_field()
-        report = run_transaction(
-            emulator, TerminalConfig(timeout_ms=args.timeout_ms, seed=seed)
-        )
-        emulator.deactivate_field()
-    finally:
-        emulator.close()
-    _print_report(report)
-    _write_report(report, args.out)
-    return 0 if report.approved else 1
+    result = _run_relayed_transaction(
+        CardEmulator(SocketTransport(conn)),
+        se=None,
+        seed=resolve_seed(args.seed),
+        timeout_ms=args.timeout_ms,
+        clock=WallClock(),
+    )
+    return _finish_relay(result, args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:

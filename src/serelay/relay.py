@@ -11,7 +11,9 @@ The phone-side relay app owns the secure element's internal channel. On
 session open it selects the wallet's on-card component, unlocks the wallet
 and probes the payment applet; on any teardown (explicit close or transport
 loss) it locks the wallet again, so a terminated session can never leave
-the card spendable.
+the card spendable. The SE host shares the relay app's session state
+machine; every C-APDU either endpoint passes on takes the same hop into
+the secure element.
 """
 from __future__ import annotations
 
@@ -20,15 +22,20 @@ import socket
 from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Optional, Protocol
+from typing import Optional, Protocol
 
 from .apdu import CommandApdu, MalformedApdu, ResponseApdu
 from .latency import LatencyModel, WallClock
 from .secure_element import (
     ChannelOrigin,
+    LOCK_COMMAND,
     PREPAID_AID,
     SW_WRONG_LENGTH,
+    UNLOCK_COMMAND,
     WALLET_AID,
+    select_command,
+    status,
+    verify_command,
 )
 
 logger = logging.getLogger(__name__)
@@ -99,13 +106,6 @@ class WireFrame:
 
     @classmethod
     def decode(cls, raw: bytes) -> "WireFrame":
-        frame, used = cls.decode_prefix(raw)
-        if used != len(raw):
-            raise RelayProtocolError(f"{len(raw) - used} trailing bytes after frame")
-        return frame
-
-    @classmethod
-    def decode_prefix(cls, raw: bytes) -> tuple["WireFrame", int]:
         if len(raw) < FRAME_HEADER_LEN:
             raise RelayProtocolError("short frame header")
         try:
@@ -116,7 +116,9 @@ class WireFrame:
         end = FRAME_HEADER_LEN + length
         if len(raw) < end:
             raise RelayProtocolError("truncated frame payload")
-        return cls(kind=kind, payload=raw[FRAME_HEADER_LEN:end]), end
+        if len(raw) > end:
+            raise RelayProtocolError(f"{len(raw) - end} trailing bytes after frame")
+        return cls(kind=kind, payload=raw[FRAME_HEADER_LEN:end])
 
 
 def error_frame(reason: ErrorReason, detail: str = "") -> WireFrame:
@@ -155,19 +157,17 @@ class SocketTransport:
         except OSError as exc:
             raise TransportClosed(str(exc)) from exc
 
-    def _recv_exact(self, count: int) -> bytes:
-        chunks = b""
-        while len(chunks) < count:
+    def _recv_until(self, buf: bytearray, size: int) -> None:
+        while len(buf) < size:
             try:
-                chunk = self._sock.recv(count - len(chunks))
+                chunk = self._sock.recv(size - len(buf))
             except socket.timeout:
                 raise
             except OSError as exc:
                 raise TransportClosed(str(exc)) from exc
             if not chunk:
                 raise TransportClosed("peer closed the connection")
-            chunks += chunk
-        return chunks
+            buf += chunk
 
     def recv_frame(self, timeout_ms: Optional[float] = None) -> WireFrame:
         if self._closed:
@@ -178,18 +178,21 @@ class SocketTransport:
             )
         except OSError as exc:
             raise TransportClosed(str(exc)) from exc
+        buf = bytearray()
         try:
-            header = self._recv_exact(FRAME_HEADER_LEN)
-            length = int.from_bytes(header[1:3], "big")
-            payload = self._recv_exact(length) if length else b""
+            self._recv_until(buf, FRAME_HEADER_LEN)
+            self._recv_until(buf, FRAME_HEADER_LEN + int.from_bytes(buf[1:3], "big"))
         except socket.timeout:
+            if buf:
+                # the rest of this frame would be read as the next header
+                self.close()
             raise ExchangeTimeout("no frame within deadline") from None
         finally:
             try:
                 self._sock.settimeout(None)
             except OSError:
                 pass
-        return WireFrame.decode(header + payload)
+        return WireFrame.decode(bytes(buf))
 
     def close(self) -> None:
         if not self._closed:
@@ -201,16 +204,6 @@ class SocketTransport:
             self._sock.close()
 
 
-def connect_tcp(host: str, port: int, timeout_s: float = 5.0) -> SocketTransport:
-    return SocketTransport(socket.create_connection((host, port), timeout=timeout_s))
-
-
-class FrameHandler(Protocol):
-    def handle_frame(self, frame: WireFrame) -> Iterable[WireFrame]: ...
-
-    def on_transport_lost(self) -> None: ...
-
-
 class InProcessTransport:
     """Single-threaded transport that feeds frames straight into a handler.
 
@@ -219,7 +212,7 @@ class InProcessTransport:
     ``recv_frame``. FIFO per session holds by construction.
     """
 
-    def __init__(self, handler: FrameHandler):
+    def __init__(self, handler: SessionEndpoint):
         self._handler = handler
         self._inbox: deque[WireFrame] = deque()
         self._closed = False
@@ -242,7 +235,114 @@ class InProcessTransport:
             self._handler.on_transport_lost()
 
 
-class RelayApp:
+def se_exchange(se, origin: ChannelOrigin, capdu: bytes) -> bytes:
+    """Hand one raw C-APDU to the secure element and return the raw R-APDU.
+
+    Transparent pipes never raise: bytes that do not parse as a command are
+    answered the way a confused card would answer them.
+    """
+    try:
+        cmd = CommandApdu.parse(capdu)
+    except MalformedApdu:
+        return status(SW_WRONG_LENGTH).to_bytes()
+    return se.process(origin, cmd).to_bytes()
+
+
+def unlock_wallet(se, pin: Optional[str] = None) -> Optional[WireFrame]:
+    """What the wallet app does on the owner's phone: select, verify, unlock.
+
+    Opens the internal channel first; returns the ERROR frame saying why the
+    wallet stayed locked, or ``None`` once it is unlocked.
+    """
+    se.open_session(ChannelOrigin.INTERNAL)
+    if not se.process(ChannelOrigin.INTERNAL, select_command(WALLET_AID)).is_success:
+        return error_frame(ErrorReason.ACCESS_DENIED, "on-card component")
+    if pin is not None:
+        se.process(ChannelOrigin.INTERNAL, verify_command(pin))
+    unlock = se.process(ChannelOrigin.INTERNAL, UNLOCK_COMMAND)
+    if not unlock.is_success:
+        return error_frame(ErrorReason.UNLOCK_FAILED, f"sw={unlock.sw:04X}")
+    return None
+
+
+class SessionEndpoint:
+    """Frame state machine of an endpoint that owns an SE's internal channel.
+
+    One session lives per connection. Subclasses decide what opening,
+    closing and losing the session do; a C-APDU takes :func:`se_exchange`
+    unless a subclass adds to it. A remote SE that vanishes mid-session
+    ends the session with an ACCESS_DENIED error.
+    """
+
+    def __init__(self, se):
+        self.se = se
+        self.session_open = False
+
+    def _open(self) -> Optional[WireFrame]:
+        """Prepare the channel; an ERROR frame refuses the session."""
+        self.se.open_session(ChannelOrigin.INTERNAL)
+        return None
+
+    def _close(self) -> None:
+        self.se.close_session(ChannelOrigin.INTERNAL)
+
+    def _lost(self) -> None:
+        self._close()
+
+    def _relay(self, capdu: bytes) -> WireFrame:
+        return WireFrame(
+            FrameKind.R_APDU, se_exchange(self.se, ChannelOrigin.INTERNAL, capdu)
+        )
+
+    def handle_frame(self, frame: WireFrame) -> list[WireFrame]:
+        if frame.kind is FrameKind.SESSION_OPEN:
+            if self.session_open:
+                return [error_frame(ErrorReason.SESSION_STATE, "already open")]
+            try:
+                failure = self._open()
+            except (TransportClosed, RelayProtocolError):
+                failure = error_frame(ErrorReason.ACCESS_DENIED, "SE unreachable")
+            if failure is not None:
+                self._close()
+                return [failure]
+            self.session_open = True
+            return [WireFrame(FrameKind.SESSION_OPEN)]
+        if frame.kind is FrameKind.SESSION_CLOSE:
+            if self.session_open:
+                self.session_open = False
+                self._close()
+            return [WireFrame(FrameKind.SESSION_CLOSE)]
+        if frame.kind is FrameKind.C_APDU:
+            if not self.session_open:
+                return [error_frame(ErrorReason.SESSION_STATE, "session not open")]
+            try:
+                return [self._relay(frame.payload)]
+            except (TransportClosed, RelayProtocolError):
+                self.session_open = False
+                self._close()
+                return [error_frame(ErrorReason.ACCESS_DENIED, "SE unreachable")]
+        return [error_frame(ErrorReason.SESSION_STATE, f"unexpected {frame.kind.name}")]
+
+    def on_transport_lost(self) -> None:
+        if self.session_open:
+            logger.info("transport lost with a session open; locking wallet")
+            self.session_open = False
+            self._lost()
+
+    def serve(self, transport: Transport) -> None:
+        """Drive one connection until the peer goes away."""
+        try:
+            while True:
+                for reply in self.handle_frame(transport.recv_frame()):
+                    transport.send_frame(reply)
+        except (TransportClosed, RelayProtocolError):
+            pass
+        finally:
+            self.on_transport_lost()
+            transport.close()
+
+
+class RelayApp(SessionEndpoint):
     """Phone-side endpoint bridging the SE's internal channel to the wire.
 
     ``se`` may be a local :class:`~serelay.secure_element.SecureElement` or
@@ -261,114 +361,58 @@ class RelayApp:
         hard_ceiling_ms: Optional[float] = None,
         payment_aid: bytes = PREPAID_AID,
     ):
-        self.se = se
+        super().__init__(se)
         self.model = model
         self.clock = clock if clock is not None else WallClock()
         self.pin = pin
         self.hard_ceiling_ms = hard_ceiling_ms
         self.payment_aid = payment_aid
-        self.session_open = False
 
-    # -- SE helpers ----------------------------------------------------------
-
-    def _se_command(self, cmd: CommandApdu) -> ResponseApdu:
-        return self.se.process(ChannelOrigin.INTERNAL, cmd)
-
-    def _select(self, aid: bytes) -> ResponseApdu:
-        return self._se_command(CommandApdu(0x00, 0xA4, 0x04, 0x00, data=aid, le=0))
-
-    def _open_sequence(self) -> Optional[WireFrame]:
-        """Run the select/unlock/probe preamble; an ERROR frame on failure."""
-        self.se.open_session(ChannelOrigin.INTERNAL)
-        if not self._select(WALLET_AID).is_success:
-            return error_frame(ErrorReason.ACCESS_DENIED, "on-card component")
-        if self.pin is not None:
-            self._se_command(
-                CommandApdu(0x00, 0x20, 0x00, 0x00, data=self.pin.encode("ascii"))
-            )
-        unlock = self._se_command(CommandApdu(0x80, 0xE2, 0x00, 0xAA, le=0))
-        if not unlock.is_success:
-            return error_frame(ErrorReason.UNLOCK_FAILED, f"sw={unlock.sw:04X}")
+    def _open(self) -> Optional[WireFrame]:
+        failure = unlock_wallet(self.se, self.pin)
+        if failure is not None:
+            return failure
         # probe that the payment applet is actually reachable on this channel
-        if not self._select(self.payment_aid).is_success:
+        probe = self.se.process(ChannelOrigin.INTERNAL, select_command(self.payment_aid))
+        if not probe.is_success:
             return error_frame(ErrorReason.ACCESS_DENIED, "payment applet")
         return None
 
-    def _teardown(self) -> None:
+    def _close(self) -> None:
         """Re-select the on-card component, lock the wallet, drop the channel."""
         try:
-            if self._select(WALLET_AID).is_success:
-                self._se_command(CommandApdu(0x80, 0xE2, 0x00, 0x55, le=0))
+            if self.se.process(
+                ChannelOrigin.INTERNAL, select_command(WALLET_AID)
+            ).is_success:
+                self.se.process(ChannelOrigin.INTERNAL, LOCK_COMMAND)
         except (TransportClosed, RelayProtocolError):
             pass  # a dead remote SE cannot be locked from here
         finally:
             self.se.close_session(ChannelOrigin.INTERNAL)
-            self.session_open = False
 
-    # -- frame handling -------------------------------------------------------
-
-    def handle_frame(self, frame: WireFrame) -> list[WireFrame]:
-        if frame.kind is FrameKind.SESSION_OPEN:
-            if self.session_open:
-                return [error_frame(ErrorReason.SESSION_STATE, "already open")]
-            try:
-                failure = self._open_sequence()
-            except (TransportClosed, RelayProtocolError):
-                failure = error_frame(ErrorReason.ACCESS_DENIED, "SE unreachable")
-            if failure is not None:
-                self._teardown()
-                return [failure]
-            self.session_open = True
-            return [WireFrame(FrameKind.SESSION_OPEN)]
-        if frame.kind is FrameKind.SESSION_CLOSE:
-            if self.session_open:
-                self._teardown()
-            return [WireFrame(FrameKind.SESSION_CLOSE)]
-        if frame.kind is FrameKind.C_APDU:
-            if not self.session_open:
-                return [error_frame(ErrorReason.SESSION_STATE, "session not open")]
-            try:
-                return [self._relay_apdu(frame.payload)]
-            except (TransportClosed, RelayProtocolError):
-                self._teardown()
-                return [error_frame(ErrorReason.ACCESS_DENIED, "SE unreachable")]
-        return [error_frame(ErrorReason.SESSION_STATE, f"unexpected {frame.kind.name}")]
-
-    def _relay_apdu(self, raw: bytes) -> WireFrame:
+    def _relay(self, capdu: bytes) -> WireFrame:
         delay_ms = self.model.sample_ms() if self.model is not None else 0.0
         if self.hard_ceiling_ms is not None and delay_ms > self.hard_ceiling_ms:
             # give up after the ceiling instead of waiting the delay out
             self.clock.sleep_ms(self.hard_ceiling_ms)
             return error_frame(ErrorReason.TIMEOUT, f"{delay_ms:.0f}ms")
         self.clock.sleep_ms(delay_ms)
-        try:
-            cmd = CommandApdu.parse(raw)
-        except MalformedApdu:
-            # transparent pipes never raise; answer like a confused card
-            return WireFrame(
-                FrameKind.R_APDU, ResponseApdu.from_sw(SW_WRONG_LENGTH).to_bytes()
-            )
-        resp = self._se_command(cmd)
-        return WireFrame(FrameKind.R_APDU, resp.to_bytes())
+        return super()._relay(capdu)
 
-    def on_transport_lost(self) -> None:
-        if self.session_open:
-            logger.info("transport lost with session open; locking wallet")
-            self._teardown()
 
-    def serve(self, transport: Transport) -> None:
-        """Drive one connection until the peer goes away."""
-        try:
-            while True:
-                try:
-                    frame = transport.recv_frame()
-                    for reply in self.handle_frame(frame):
-                        transport.send_frame(reply)
-                except (TransportClosed, RelayProtocolError):
-                    break
-        finally:
-            self.on_transport_lost()
-            transport.close()
+class SecureElementHost(SessionEndpoint):
+    """Serves a secure element's internal channel over the wire protocol.
+
+    Lets the relay app run in a different process from the SE. Transport
+    loss with a session open locks the wallet defensively, preserving the
+    session-hygiene guarantee across a distributed deployment. The lock is
+    a direct call, not an APDU: a policy that disables the wallet's on-card
+    component internally would refuse the lock command.
+    """
+
+    def _lost(self) -> None:
+        self.se.lock_wallet()
+        self._close()
 
 
 class CardEmulator:
@@ -423,67 +467,6 @@ class CardEmulator:
     def close(self) -> None:
         self.deactivate_field()
         self.transport.close()
-
-
-class SecureElementHost:
-    """Serves a secure element's internal channel over the wire protocol.
-
-    Lets the relay app run in a different process from the SE. Transport
-    loss with a session open locks the wallet defensively, preserving the
-    session-hygiene guarantee across a distributed deployment.
-    """
-
-    def __init__(self, se):
-        self.se = se
-        self.session_open = False
-
-    def handle_frame(self, frame: WireFrame) -> list[WireFrame]:
-        if frame.kind is FrameKind.SESSION_OPEN:
-            if self.session_open:
-                return [error_frame(ErrorReason.SESSION_STATE, "already open")]
-            self.se.open_session(ChannelOrigin.INTERNAL)
-            self.session_open = True
-            return [WireFrame(FrameKind.SESSION_OPEN)]
-        if frame.kind is FrameKind.SESSION_CLOSE:
-            if self.session_open:
-                self.se.close_session(ChannelOrigin.INTERNAL)
-                self.session_open = False
-            return [WireFrame(FrameKind.SESSION_CLOSE)]
-        if frame.kind is FrameKind.C_APDU:
-            if not self.session_open:
-                return [error_frame(ErrorReason.SESSION_STATE, "session not open")]
-            try:
-                cmd = CommandApdu.parse(frame.payload)
-            except MalformedApdu:
-                return [
-                    WireFrame(
-                        FrameKind.R_APDU,
-                        ResponseApdu.from_sw(SW_WRONG_LENGTH).to_bytes(),
-                    )
-                ]
-            resp = self.se.process(ChannelOrigin.INTERNAL, cmd)
-            return [WireFrame(FrameKind.R_APDU, resp.to_bytes())]
-        return [error_frame(ErrorReason.SESSION_STATE, f"unexpected {frame.kind.name}")]
-
-    def on_transport_lost(self) -> None:
-        if self.session_open:
-            logger.info("SE host lost its peer with a session open; locking wallet")
-            self.se.lock_wallet()
-            self.se.close_session(ChannelOrigin.INTERNAL)
-            self.session_open = False
-
-    def serve(self, transport: Transport) -> None:
-        try:
-            while True:
-                try:
-                    frame = transport.recv_frame()
-                    for reply in self.handle_frame(frame):
-                        transport.send_frame(reply)
-                except (TransportClosed, RelayProtocolError):
-                    break
-        finally:
-            self.on_transport_lost()
-            transport.close()
 
 
 class RemoteSecureElement:

@@ -15,7 +15,6 @@ import threading
 from dataclasses import dataclass
 from typing import Optional
 
-from .apdu import CommandApdu
 from .latency import (
     AccessPath,
     LatencyModel,
@@ -30,8 +29,9 @@ from .relay import (
     InProcessTransport,
     RelayApp,
     SocketTransport,
+    unlock_wallet,
 )
-from .secure_element import ChannelOrigin, SecureElement, WALLET_AID
+from .secure_element import ChannelOrigin, SecureElement
 from .terminal import (
     DirectCardInterface,
     TerminalConfig,
@@ -47,30 +47,6 @@ def resolve_seed(seed: Optional[int]) -> int:
     if seed is not None:
         return seed
     return random.SystemRandom().getrandbits(32)
-
-
-def unlock_wallet_locally(se: SecureElement, pin: Optional[str] = None) -> bool:
-    """What the wallet app does on the owner's phone: select, verify, unlock."""
-    se.open_session(ChannelOrigin.INTERNAL)
-    select = se.process(
-        ChannelOrigin.INTERNAL,
-        CommandApdu(0x00, 0xA4, 0x04, 0x00, data=WALLET_AID, le=0),
-    )
-    if not select.is_success:
-        return False
-    if pin is not None:
-        se.process(
-            ChannelOrigin.INTERNAL,
-            CommandApdu(0x00, 0x20, 0x00, 0x00, data=pin.encode("ascii")),
-        )
-    unlock = se.process(ChannelOrigin.INTERNAL, CommandApdu(0x80, 0xE2, 0x00, 0xAA, le=0))
-    return unlock.is_success
-
-
-def default_path_for_origin(origin: ChannelOrigin) -> AccessPath:
-    if origin is ChannelOrigin.CONTACTLESS:
-        return AccessPath.DIRECT_EXTERNAL
-    return AccessPath.DIRECT_INTERNAL
 
 
 def run_pos_direct(
@@ -94,15 +70,15 @@ def run_pos_direct(
     if se is None:
         se = SecureElement(profile=profile, policy=policy, atc=atc)
     if unlock:
-        unlocked = unlock_wallet_locally(se, pin=pin)
-        if not unlocked:
+        if unlock_wallet(se, pin) is not None:
             logger.info("local unlock failed; transaction will run against a locked wallet")
     elif origin is ChannelOrigin.INTERNAL:
         se.open_session(ChannelOrigin.INTERNAL)
     if origin is ChannelOrigin.CONTACTLESS:
         se.open_session(ChannelOrigin.CONTACTLESS)
     if path is None:
-        path = default_path_for_origin(origin)
+        contactless = origin is ChannelOrigin.CONTACTLESS
+        path = AccessPath.DIRECT_EXTERNAL if contactless else AccessPath.DIRECT_INTERNAL
     model = LatencyModel(path, seed, latency_params)
     card = DirectCardInterface(se, origin, model=model, clock=clock)
     cfg = TerminalConfig(timeout_ms=timeout_ms, seed=seed, fixed_un=fixed_un)
@@ -142,66 +118,59 @@ def run_relay_attack(
         se = SecureElement(profile=profile, policy=policy, atc=atc)
     if transport == "inproc":
         clock = clock if clock is not None else VirtualClock()
-        return _relay_attack_inproc(
-            se, path, latency_params, seed, timeout_ms, relay_pin, hard_ceiling_ms, clock
+    elif transport == "tcp":
+        clock = WallClock()
+    else:
+        raise ValueError(f"unknown transport {transport!r}")
+    relay = RelayApp(
+        se,
+        model=LatencyModel(path, seed, latency_params),
+        clock=clock,
+        pin=relay_pin,
+        hard_ceiling_ms=hard_ceiling_ms,
+    )
+    if transport == "inproc":
+        return _run_relayed_transaction(
+            CardEmulator(InProcessTransport(relay)), se, seed, timeout_ms, clock
         )
-    if transport == "tcp":
-        return _relay_attack_tcp(
-            se, path, latency_params, seed, timeout_ms, relay_pin, hard_ceiling_ms
-        )
-    raise ValueError(f"unknown transport {transport!r}")
+    emulator, relay_thread = _serve_over_loopback(relay)
+    try:
+        return _run_relayed_transaction(emulator, se, seed, timeout_ms, clock)
+    finally:
+        relay_thread.join(timeout=5.0)
 
 
-def _finish_relay_run(
+def _run_relayed_transaction(
     emulator: CardEmulator,
-    se: SecureElement,
+    se: Optional[SecureElement],
     seed: int,
     timeout_ms: Optional[float],
     clock,
 ) -> RelayAttackResult:
-    try:
-        emulator.activate_field()
-    except ActivationRefused as refused:
-        return RelayAttackResult(report=None, session_error=refused.reason, se=se)
-    cfg = TerminalConfig(timeout_ms=timeout_ms, seed=seed)
-    report = run_transaction(emulator, cfg, clock)
-    emulator.deactivate_field()
-    return RelayAttackResult(report=report, session_error=None, se=se)
+    """Activate the field, run one transaction, close the emulator.
 
-
-def _relay_attack_inproc(
-    se, path, params, seed, timeout_ms, relay_pin, hard_ceiling_ms, clock
-) -> RelayAttackResult:
-    relay = RelayApp(
-        se,
-        model=LatencyModel(path, seed, params),
-        clock=clock,
-        pin=relay_pin,
-        hard_ceiling_ms=hard_ceiling_ms,
-    )
-    emulator = CardEmulator(InProcessTransport(relay))
+    ``se`` is only carried into the result; it is ``None`` where the secure
+    element lives in another process.
+    """
     try:
-        return _finish_relay_run(emulator, se, seed, timeout_ms, clock)
+        try:
+            emulator.activate_field()
+        except ActivationRefused as refused:
+            return RelayAttackResult(report=None, session_error=refused.reason, se=se)
+        cfg = TerminalConfig(timeout_ms=timeout_ms, seed=seed)
+        report = run_transaction(emulator, cfg, clock)
+        emulator.deactivate_field()
+        return RelayAttackResult(report=report, session_error=None, se=se)
     finally:
         emulator.close()
 
 
-def _relay_attack_tcp(
-    se, path, params, seed, timeout_ms, relay_pin, hard_ceiling_ms
-) -> RelayAttackResult:
-    clock = WallClock()
+def _serve_over_loopback(relay: RelayApp) -> tuple[CardEmulator, threading.Thread]:
+    """Start ``relay`` on its own thread, connected to an emulator over TCP."""
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     listener.bind(("127.0.0.1", 0))
     listener.listen(1)
     host, port = listener.getsockname()
-
-    relay = RelayApp(
-        se,
-        model=LatencyModel(path, seed, params),
-        clock=clock,
-        pin=relay_pin,
-        hard_ceiling_ms=hard_ceiling_ms,
-    )
 
     def relay_main() -> None:
         relay.serve(SocketTransport(socket.create_connection((host, port), timeout=5.0)))
@@ -210,9 +179,4 @@ def _relay_attack_tcp(
     relay_thread.start()
     conn, _peer = listener.accept()
     listener.close()
-    emulator = CardEmulator(SocketTransport(conn))
-    try:
-        return _finish_relay_run(emulator, se, seed, timeout_ms, clock)
-    finally:
-        emulator.close()
-        relay_thread.join(timeout=5.0)
+    return CardEmulator(SocketTransport(conn)), relay_thread

@@ -66,6 +66,18 @@ INS_CARD_TOGGLE = 0xF0
 P2_UNLOCK = 0xAA
 P2_LOCK = 0x55
 
+
+def select_command(aid: bytes) -> CommandApdu:
+    return CommandApdu(0x00, INS_SELECT, 0x04, 0x00, data=aid, le=0)
+
+
+def verify_command(pin: str) -> CommandApdu:
+    return CommandApdu(0x00, INS_VERIFY, 0x00, 0x00, data=pin.encode("ascii"))
+
+
+UNLOCK_COMMAND = CommandApdu(0x80, INS_LOCK_CTRL, 0x00, P2_UNLOCK, le=0)
+LOCK_COMMAND = CommandApdu(0x80, INS_LOCK_CTRL, 0x00, P2_LOCK, le=0)
+
 PIN_RETRY_LIMIT = 3
 
 # keyed stand-in for the proprietary dynamic card verification code: the

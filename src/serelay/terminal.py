@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 from typing import Optional, Protocol
 
 from . import tlv
-from .apdu import CommandApdu, MalformedApdu, ResponseApdu
+from .apdu import CommandApdu, ResponseApdu
 from .hexutil import format_hex
 from .latency import LatencyModel, WallClock
-from .relay import CardRemoved, ExchangeTimeout
-from .secure_element import ChannelOrigin, PPSE_AID, SecureElement
+from .relay import CardRemoved, ExchangeTimeout, se_exchange
+from .secure_element import ChannelOrigin, PPSE_AID, SecureElement, select_command
 
 
 class MalformedAfl(Exception):
@@ -55,7 +55,6 @@ class TerminalConfig:
     timeout_ms: Optional[float] = None
     seed: Optional[int] = None
     fixed_un: Optional[bytes] = None
-    expected_aids: Optional[frozenset[bytes]] = None
 
     def __post_init__(self) -> None:
         if self.timeout_ms is not None and self.timeout_ms <= 0:
@@ -179,10 +178,6 @@ class _Abort(Exception):
         self.reason = reason
 
 
-def _sw_reason(resp: ResponseApdu) -> str:
-    return f"{resp.sw:04X}"
-
-
 def run_transaction(
     card: CardInterface,
     cfg: Optional[TerminalConfig] = None,
@@ -216,11 +211,11 @@ def run_transaction(
             raise _Abort(TIMED_OUT)
         resp = ResponseApdu.parse(reply)
         if not resp.is_success:
-            raise _Abort(DECLINED, _sw_reason(resp))
+            raise _Abort(DECLINED, f"{resp.sw:04X}")
         return resp
 
     try:
-        _run_steps(report, step, un, cfg.expected_aids)
+        _run_steps(report, step, un)
         report.outcome = APPROVED
         report.reason = None
     except _Abort as abort:
@@ -233,7 +228,7 @@ def run_transaction(
     return report
 
 
-def _pick_application(fci: bytes, expected: Optional[frozenset[bytes]]) -> bytes:
+def _pick_application(fci: bytes) -> bytes:
     try:
         nodes = tlv.decode(fci)
     except tlv.TlvError:
@@ -243,8 +238,6 @@ def _pick_application(fci: bytes, expected: Optional[frozenset[bytes]]) -> bytes
         aid = tlv.find(template.children, [0x4F])
         if aid is None:
             continue
-        if expected is not None and aid not in expected:
-            continue
         priority = tlv.find(template.children, [0x87])
         candidates.append((priority[0] if priority else 0xFF, aid))
     if not candidates:
@@ -253,18 +246,11 @@ def _pick_application(fci: bytes, expected: Optional[frozenset[bytes]]) -> bytes
     return candidates[0][1]
 
 
-def _run_steps(
-    report: TransactionReport,
-    step,
-    un: bytes,
-    expected_aids: Optional[frozenset[bytes]],
-) -> None:
-    ppse = step(
-        "select_ppse", CommandApdu(0x00, 0xA4, 0x04, 0x00, data=PPSE_AID, le=0)
-    )
-    aid = _pick_application(ppse.data, expected_aids)
+def _run_steps(report: TransactionReport, step, un: bytes) -> None:
+    ppse = step("select_ppse", select_command(PPSE_AID))
+    aid = _pick_application(ppse.data)
 
-    fci = step("select_aid", CommandApdu(0x00, 0xA4, 0x04, 0x00, data=aid, le=0))
+    fci = step("select_aid", select_command(aid))
     df_name = tlv.find(_decode_or_decline(fci.data, "malformed_fci"), [0x6F, 0x84])
     if df_name != aid:
         raise _Abort(DECLINED, "fci_name_mismatch")
@@ -325,8 +311,9 @@ def _decode_or_decline(raw: bytes, reason: str) -> list[tlv.TlvNode]:
 class DirectCardInterface:
     """Card interface straight into an in-process secure element.
 
-    Applies the access path's sampled delay to every exchange, so a run over
-    this interface is timed the same way a relayed run is.
+    Applies the access path's sampled delay to every exchange, then takes
+    the same hop into the secure element a relayed command takes, so a run
+    over this interface is timed and answered the way a relayed run is.
     """
 
     def __init__(
@@ -344,8 +331,4 @@ class DirectCardInterface:
     def exchange(self, capdu: bytes, max_wait_ms: Optional[float] = None) -> bytes:
         if self.model is not None:
             self.clock.sleep_ms(self.model.sample_ms())
-        try:
-            cmd = CommandApdu.parse(capdu)
-        except MalformedApdu:
-            return ResponseApdu.from_sw(0x6700).to_bytes()
-        return self.se.process(self.origin, cmd).to_bytes()
+        return se_exchange(self.se, self.origin, capdu)

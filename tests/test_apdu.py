@@ -12,7 +12,6 @@ from genutil import (
     random_command,
 )
 from serelay.apdu import (
-    Aid,
     CommandApdu,
     MalformedApdu,
     ResponseApdu,
@@ -33,23 +32,20 @@ class TestParseCommand:
         assert (cmd.cla, cmd.ins, cmd.p1, cmd.p2) == (0x00, 0xB2, 0x01, 0x0C)
         assert cmd.data == b""
         assert cmd.le == 0
-        assert cmd.case == 2
 
     def test_minimal_case_1(self):
         cmd = CommandApdu.parse(bytes(4))
         assert (cmd.cla, cmd.ins, cmd.p1, cmd.p2) == (0, 0, 0, 0)
         assert cmd.data == b"" and cmd.le is None
-        assert cmd.case == 1
 
     def test_case_3_without_le(self):
         cmd = CommandApdu.parse(bytes.fromhex("00A4040002AABB"))
         assert cmd.data == b"\xaa\xbb" and cmd.le is None
-        assert cmd.case == 3
 
     def test_select_wallet_trace(self):
         cmd = CommandApdu.from_hex(SELECT_WALLET_C)
         assert cmd.data.hex().upper() == "A0000004762010"
-        assert cmd.le == 0 and cmd.case == 4
+        assert cmd.le == 0
 
     def test_too_short(self):
         with pytest.raises(MalformedApdu):
@@ -159,15 +155,3 @@ class TestRoundTrip:
                 continue
             assert cmd.to_bytes() == raw
 
-
-class TestAid:
-    def test_bounds(self):
-        Aid(bytes(5))
-        Aid(bytes(16))
-        for bad in (bytes(4), bytes(17), b""):
-            with pytest.raises(ValueError):
-                Aid(bad)
-
-    def test_hex_round_trip(self):
-        aid = Aid.from_hex("A0000004762010")
-        assert aid.hex() == "A0000004762010"

@@ -1,3 +1,4 @@
+import contextlib
 import socket
 import threading
 
@@ -13,6 +14,7 @@ from serelay.relay import (
     CardEmulator,
     CardRemoved,
     ErrorReason,
+    ExchangeTimeout,
     FrameKind,
     InProcessTransport,
     RelayApp,
@@ -230,6 +232,23 @@ class TestTcpTransport:
         emulator.close()
         thread.join(timeout=5)
         assert not thread.is_alive()
+
+    def test_timeout_mid_frame_closes_transport(self):
+        near, far = socket.socketpair()
+        transport = SocketTransport(near)
+        raw = WireFrame(FrameKind.R_APDU, b"\x90\x00").encode()
+        try:
+            far.sendall(raw[:2])  # two header bytes, then the peer stalls
+            with pytest.raises(ExchangeTimeout):
+                transport.recv_frame(timeout_ms=50)
+            with contextlib.suppress(OSError):  # the transport may have hung up
+                far.sendall(raw[2:])
+            # the rest of the frame must not be read as a fresh header
+            with pytest.raises(TransportClosed):
+                transport.recv_frame(timeout_ms=200)
+        finally:
+            transport.close()
+            far.close()
 
     def test_abrupt_socket_loss_locks_wallet(self):
         se = SecureElement()

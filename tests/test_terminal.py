@@ -7,7 +7,7 @@ from serelay.apdu import CommandApdu
 from serelay.hexutil import parse_hex
 from serelay.latency import AccessPath, LatencyModel, VirtualClock
 from serelay.profile import CardProfile
-from serelay.relay import CardRemoved
+from serelay.relay import CardRemoved, unlock_wallet
 from serelay.secure_element import (
     ChannelOrigin,
     PaymentApplet,
@@ -16,7 +16,7 @@ from serelay.secure_element import (
     WalletControlApplet,
     CardManagerStub,
 )
-from serelay.scenarios import run_pos_direct, unlock_wallet_locally
+from serelay.scenarios import run_pos_direct
 from serelay.terminal import (
     APPROVED,
     CARD_REMOVED,
@@ -91,7 +91,7 @@ class TestParseTrack2:
 
 def unlocked_card(se=None, origin=ChannelOrigin.INTERNAL, **kwargs):
     se = se if se is not None else SecureElement(**kwargs)
-    unlock_wallet_locally(se)
+    unlock_wallet(se)
     if origin is ChannelOrigin.CONTACTLESS:
         se.open_session(origin)
     return se, DirectCardInterface(se, origin)
@@ -195,7 +195,7 @@ class TestRunTransaction:
 class TestTimeout:
     def run_with_ceiling(self, ceiling, seed=8):
         se = SecureElement()
-        unlock_wallet_locally(se)
+        unlock_wallet(se)
         clock = VirtualClock()
         card = DirectCardInterface(
             se,
@@ -208,7 +208,7 @@ class TestTimeout:
 
     def test_no_timeout_by_default(self):
         se = SecureElement()
-        unlock_wallet_locally(se)
+        unlock_wallet(se)
         clock = VirtualClock()
         card = DirectCardInterface(
             se,
