@@ -18,13 +18,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .apdu import CommandApdu
-from .hexutil import parse_hex
 from .latency import AccessPath, LatencyModel, LatencyParams
-from .secure_element import ChannelOrigin, SecureElement
+from .secure_element import ChannelOrigin, ISD_PREFIX_AID, SecureElement, select_command
 
 # SELECT card manager by its 7-byte name: 13-byte command, 105-byte response
-BENCH_SELECT_APDU = parse_hex("00A4040007A000000003535000")
-BENCH_RESPONSE_LEN = 105
+BENCH_SELECT_APDU = select_command(ISD_PREFIX_AID).to_bytes()
 
 
 class BenchmarkError(Exception):

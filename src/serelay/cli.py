@@ -12,7 +12,6 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import socket
 import sys
@@ -100,23 +99,9 @@ def _host_port(text: str) -> tuple[str, int]:
     return host, int(port)
 
 
-def _load_profile(path: Optional[str]) -> Optional[CardProfile]:
-    return CardProfile.load(path) if path else None
-
-
-def _load_policy(path: Optional[str]) -> Optional[CountermeasurePolicy]:
-    return CountermeasurePolicy.load(path) if path else None
-
-
-def _load_latency_params(path: Optional[str]) -> Optional[LatencyParams]:
-    if not path:
-        return None
-    with open(path, "r", encoding="utf-8") as handle:
-        raw = json.load(handle)
-    try:
-        return LatencyParams(**raw)
-    except TypeError as exc:
-        raise ValueError(f"bad latency parameter file {path}: {exc}") from None
+def _load(config_type, path: Optional[str]):
+    """The config file at ``path`` (a :class:`JsonConfig`), or ``None``."""
+    return config_type.load(path) if path else None
 
 
 def _finish(report: TransactionReport, out_dir: Optional[str]) -> int:
@@ -152,13 +137,13 @@ def _finish_relay(result: RelayAttackResult, out_dir: Optional[str]) -> int:
 def cmd_pos_direct(args: argparse.Namespace) -> int:
     report = run_pos_direct(
         origin=ChannelOrigin(args.origin),
-        profile=_load_profile(args.profile),
-        policy=_load_policy(args.policy),
+        profile=_load(CardProfile, args.profile),
+        policy=_load(CountermeasurePolicy, args.policy),
         unlock=args.unlock,
         pin=args.pin,
         seed=args.seed,
         path=AccessPath(args.model) if args.model else None,
-        latency_params=_load_latency_params(args.latency_params),
+        latency_params=_load(LatencyParams, args.latency_params),
         timeout_ms=args.timeout_ms,
         atc=args.atc,
     )
@@ -167,10 +152,10 @@ def cmd_pos_direct(args: argparse.Namespace) -> int:
 
 def cmd_relay_attack(args: argparse.Namespace) -> int:
     result = run_relay_attack(
-        profile=_load_profile(args.profile),
-        policy=_load_policy(args.policy),
+        profile=_load(CardProfile, args.profile),
+        policy=_load(CountermeasurePolicy, args.policy),
         path=AccessPath(args.model),
-        latency_params=_load_latency_params(args.latency_params),
+        latency_params=_load(LatencyParams, args.latency_params),
         seed=args.seed,
         timeout_ms=args.timeout_ms,
         relay_pin=args.pin,
@@ -188,7 +173,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     out_dir = Path(args.out) if args.out else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
-    params = _load_latency_params(args.latency_params)
+    params = _load(LatencyParams, args.latency_params)
     for path in paths:
         spec = BenchmarkSpec(
             path=path,
@@ -291,8 +276,8 @@ def _try_describe(data: bytes) -> None:
 
 def cmd_se_host(args: argparse.Namespace) -> int:
     se = SecureElement(
-        profile=_load_profile(args.profile),
-        policy=_load_policy(args.policy),
+        profile=_load(CardProfile, args.profile),
+        policy=_load(CountermeasurePolicy, args.policy),
         atc=args.atc,
     )
     host, _port = args.listen
@@ -326,8 +311,8 @@ def _connect_with_retry(host: str, port: int, timeout_s: float = 10.0) -> socket
 def cmd_relay_app(args: argparse.Namespace) -> int:
     if args.se == "inproc":
         se = SecureElement(
-            profile=_load_profile(args.profile),
-            policy=_load_policy(args.policy),
+            profile=_load(CardProfile, args.profile),
+            policy=_load(CountermeasurePolicy, args.policy),
         )
     else:
         host, port = _host_port(args.se)
@@ -493,9 +478,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        parser.exit(2, f"{parser.prog}: error: {exc}\n")
-    except (ValueError, json.JSONDecodeError) as exc:
+    except (FileNotFoundError, ValueError) as exc:  # a JSONDecodeError is a ValueError
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 

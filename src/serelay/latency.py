@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
+from .profile import JsonConfig
+
 
 class AccessPath(str, Enum):
     DIRECT_EXTERNAL = "external"
@@ -32,8 +34,8 @@ class AccessPath(str, Enum):
 
 
 @dataclass(frozen=True)
-class LatencyParams:
-    """Distribution knobs, all in milliseconds."""
+class LatencyParams(JsonConfig):
+    """Distribution knobs, all in milliseconds; files load like a profile's."""
 
     external_mean: float = 30.0
     external_sd: float = 3.0

@@ -1,14 +1,15 @@
-"""Card personalization data and countermeasure switches.
+"""Card personalization data, countermeasure switches and their file form.
 
-Both structures load from JSON files; byte-valued fields are hex strings,
-digit-valued fields are decimal strings. The bundled defaults describe a
-synthetic prepaid MasterCard-style profile: the PAN is made up (Luhn-valid)
-and the CVC3 key is a fixed test key, so nothing here encodes a real card.
+Both structures load from JSON files through :class:`JsonConfig`, as do the
+latency parameters; byte-valued fields are hex strings, digit-valued fields
+are decimal strings. The bundled defaults describe a synthetic prepaid
+MasterCard-style profile: the PAN is made up (Luhn-valid) and the CVC3 key
+is a fixed test key, so nothing here encodes a real card.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Union
 
@@ -51,8 +52,70 @@ def _require_bytes(name: str, value: bytes, length: int) -> None:
         raise ValueError(f"{name} must be {length} bytes")
 
 
+# field annotation -> (JSON types a file may give it, what the error asks for)
+_JSON_FORMS: dict[str, tuple[Any, str]] = {
+    "bool": (bool, "true or false"),
+    "int": (int, "an integer"),
+    "float": ((int, float), "a number"),
+    "str": (str, "a string"),
+    "bytes": (str, "a hex string"),
+    "frozenset[bytes]": (list, "a list of hex strings"),
+}
+
+
+def _decode_value(annotation: str, value: Any, where: str) -> Any:
+    json_type, wanted = _JSON_FORMS[annotation]
+    # bool is an int subclass, but true/false is no number in a config file
+    if not isinstance(value, json_type) or (
+        isinstance(value, bool) and json_type is not bool
+    ):
+        raise ValueError(f"{where} must be {wanted}, got {value!r}")
+    if annotation == "bytes":
+        return parse_hex(value)
+    if annotation == "frozenset[bytes]":
+        return frozenset(_decode_value("bytes", item, where) for item in value)
+    return value
+
+
+def _encode_value(value: Any) -> Any:
+    if isinstance(value, bytes):
+        return format_hex(value)
+    if isinstance(value, frozenset):
+        return sorted(format_hex(item) for item in value)
+    return value
+
+
+class JsonConfig:
+    """File form shared by the frozen config dataclasses.
+
+    A file is one JSON object keyed by field name: ``bytes`` fields are hex
+    strings, the AID set is a sorted list of hex strings, and every other
+    field keeps its JSON type. Omitted keys keep their defaults; a file that
+    is not one object, an unknown key or a wrong-typed value is a
+    ``ValueError``.
+    """
+
+    @classmethod
+    def load(cls, path: Union[str, Path]):
+        with open(path, "r", encoding="utf-8") as handle:
+            raw = json.load(handle)
+        if not isinstance(raw, dict):
+            raise ValueError(f"{path}: expected one JSON object")
+        annotations = {f.name: f.type for f in fields(cls)}
+        kwargs = {}
+        for key, value in raw.items():
+            if key not in annotations:
+                raise ValueError(f"{path}: unknown key {key!r}")
+            kwargs[key] = _decode_value(annotations[key], value, f"{path}: {key}")
+        return cls(**kwargs)
+
+    def save(self, path: Union[str, Path]) -> None:
+        raw = {f.name: _encode_value(getattr(self, f.name)) for f in fields(self)}
+        Path(path).write_text(json.dumps(raw, indent=2) + "\n")
+
+
 @dataclass(frozen=True)
-class CardProfile:
+class CardProfile(JsonConfig):
     """Everything the payment applet needs to build its data file record."""
 
     pan: str = DEFAULT_PAN
@@ -105,50 +168,9 @@ class CardProfile:
             digits += "F"
         return bytes.fromhex(digits)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "pan": self.pan,
-            "expiry": self.expiry,
-            "service_code": self.service_code,
-            "discretionary": self.discretionary,
-            "track1_cvc3_bitmap": format_hex(self.track1_cvc3_bitmap),
-            "track1_unatc_bitmap": format_hex(self.track1_unatc_bitmap),
-            "track2_cvc3_bitmap": format_hex(self.track2_cvc3_bitmap),
-            "track2_unatc_bitmap": format_hex(self.track2_unatc_bitmap),
-            "track1_atc_digits": self.track1_atc_digits,
-            "track2_atc_digits": self.track2_atc_digits,
-            "cvc3_key": format_hex(self.cvc3_key),
-            "pin": self.pin,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict[str, Any]) -> "CardProfile":
-        kwargs: dict[str, Any] = {}
-        hex_fields = {
-            "track1_cvc3_bitmap",
-            "track1_unatc_bitmap",
-            "track2_cvc3_bitmap",
-            "track2_unatc_bitmap",
-            "cvc3_key",
-        }
-        for key, value in raw.items():
-            if key in hex_fields:
-                kwargs[key] = parse_hex(value)
-            else:
-                kwargs[key] = value
-        return cls(**kwargs)
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "CardProfile":
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
-
-    def save(self, path: Union[str, Path]) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
-
 
 @dataclass(frozen=True)
-class CountermeasurePolicy:
+class CountermeasurePolicy(JsonConfig):
     """Secure-element hardening toggles, all off by default.
 
     ``require_pin_on_card`` moves PIN verification onto the card: the unlock
@@ -172,28 +194,3 @@ class CountermeasurePolicy:
             self,
             internal_disabled_aids=self.internal_disabled_aids | set(aids),
         )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "require_pin_on_card": self.require_pin_on_card,
-            "internal_disabled_aids": sorted(
-                format_hex(a) for a in self.internal_disabled_aids
-            ),
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict[str, Any]) -> "CountermeasurePolicy":
-        return cls(
-            require_pin_on_card=bool(raw.get("require_pin_on_card", False)),
-            internal_disabled_aids=frozenset(
-                parse_hex(a) for a in raw.get("internal_disabled_aids", [])
-            ),
-        )
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "CountermeasurePolicy":
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
-
-    def save(self, path: Union[str, Path]) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")

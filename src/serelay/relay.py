@@ -67,7 +67,11 @@ class TransportClosed(Exception):
     """The underlying stream is gone."""
 
 
-class ActivationRefused(Exception):
+class SessionFailed(Exception):
+    """A session client's peer refused or lost the session."""
+
+
+class ActivationRefused(SessionFailed):
     """Relay endpoint rejected the session open."""
 
     def __init__(self, reason: str):
@@ -75,7 +79,7 @@ class ActivationRefused(Exception):
         self.reason = reason
 
 
-class CardRemoved(Exception):
+class CardRemoved(SessionFailed):
     """The emulated card vanished mid-transaction (transport or relay fault)."""
 
 
@@ -300,7 +304,7 @@ class SessionEndpoint:
                 return [error_frame(ErrorReason.SESSION_STATE, "already open")]
             try:
                 failure = self._open()
-            except (TransportClosed, RelayProtocolError):
+            except SessionFailed:
                 failure = error_frame(ErrorReason.ACCESS_DENIED, "SE unreachable")
             if failure is not None:
                 self._close()
@@ -317,7 +321,7 @@ class SessionEndpoint:
                 return [error_frame(ErrorReason.SESSION_STATE, "session not open")]
             try:
                 return [self._relay(frame.payload)]
-            except (TransportClosed, RelayProtocolError):
+            except SessionFailed:
                 self.session_open = False
                 self._close()
                 return [error_frame(ErrorReason.ACCESS_DENIED, "SE unreachable")]
@@ -385,7 +389,7 @@ class RelayApp(SessionEndpoint):
                 ChannelOrigin.INTERNAL, select_command(WALLET_AID)
             ).is_success:
                 self.se.process(ChannelOrigin.INTERNAL, LOCK_COMMAND)
-        except (TransportClosed, RelayProtocolError):
+        except SessionFailed:
             pass  # a dead remote SE cannot be locked from here
         finally:
             self.se.close_session(ChannelOrigin.INTERNAL)
@@ -415,82 +419,78 @@ class SecureElementHost(SessionEndpoint):
         self._close()
 
 
-class CardEmulator:
-    """Terminal-side endpoint: presents the relayed SE as a local card."""
+class SessionClient:
+    """Client half of one session with a :class:`SessionEndpoint`.
+
+    A refused open raises :class:`ActivationRefused`, a failed exchange
+    :class:`CardRemoved` and ends the session; closing swallows errors.
+    """
 
     def __init__(self, transport: Transport):
         self.transport = transport
-        self.field_active = False
+        self.session_open = False
 
-    def activate_field(self) -> None:
-        if self.field_active:
+    def _open(self) -> None:
+        if self.session_open:
             return
         try:
             self.transport.send_frame(WireFrame(FrameKind.SESSION_OPEN))
             reply = self.transport.recv_frame()
         except (TransportClosed, RelayProtocolError) as exc:
             raise ActivationRefused(f"relay unreachable: {exc}") from exc
-        if reply.kind is FrameKind.SESSION_OPEN:
-            self.field_active = True
-            return
         if reply.kind is FrameKind.ERROR:
             raise ActivationRefused(error_reason_name(reply))
-        raise ActivationRefused(f"unexpected {reply.kind.name} frame")
+        if reply.kind is not FrameKind.SESSION_OPEN:
+            raise ActivationRefused(f"unexpected {reply.kind.name} frame")
+        self.session_open = True
 
     def exchange(self, capdu: bytes, max_wait_ms: Optional[float] = None) -> bytes:
-        if not self.field_active:
+        if not self.session_open:
             raise CardRemoved("field not active")
+        self.session_open = False  # a timeout or failure below ends the session
         try:
             self.transport.send_frame(WireFrame(FrameKind.C_APDU, capdu))
             reply = self.transport.recv_frame(timeout_ms=max_wait_ms)
-        except ExchangeTimeout:
-            self.field_active = False
-            raise
         except (TransportClosed, RelayProtocolError) as exc:
-            self.field_active = False
             raise CardRemoved(str(exc)) from exc
-        if reply.kind is FrameKind.R_APDU:
-            return reply.payload
-        self.field_active = False
-        raise CardRemoved(f"relay reported {error_reason_name(reply)}")
+        if reply.kind is not FrameKind.R_APDU:
+            raise CardRemoved(f"relay reported {error_reason_name(reply)}")
+        self.session_open = True
+        return reply.payload
 
-    def deactivate_field(self) -> None:
-        if not self.field_active:
+    def _close(self) -> None:
+        if not self.session_open:
             return
-        self.field_active = False
+        self.session_open = False
         try:
             self.transport.send_frame(WireFrame(FrameKind.SESSION_CLOSE))
             self.transport.recv_frame()
         except (TransportClosed, RelayProtocolError, ExchangeTimeout):
             pass
+
+
+class CardEmulator(SessionClient):
+    """Terminal-side endpoint: presents the relayed SE as a local card."""
+
+    def activate_field(self) -> None:
+        self._open()
+
+    def deactivate_field(self) -> None:
+        self._close()
 
     def close(self) -> None:
         self.deactivate_field()
         self.transport.close()
 
 
-class RemoteSecureElement:
+class RemoteSecureElement(SessionClient):
     """Client for :class:`SecureElementHost`; quacks like a local SE."""
 
-    def __init__(self, transport: Transport):
-        self.transport = transport
-
     def open_session(self, origin: ChannelOrigin) -> None:
-        self.transport.send_frame(WireFrame(FrameKind.SESSION_OPEN))
-        reply = self.transport.recv_frame()
-        if reply.kind is not FrameKind.SESSION_OPEN:
-            raise RelayProtocolError(f"open rejected: {error_reason_name(reply)}")
+        self._open()
 
     def process(self, origin: ChannelOrigin, cmd: CommandApdu) -> ResponseApdu:
-        self.transport.send_frame(WireFrame(FrameKind.C_APDU, cmd.to_bytes()))
-        reply = self.transport.recv_frame()
-        if reply.kind is not FrameKind.R_APDU:
-            raise RelayProtocolError(f"exchange failed: {error_reason_name(reply)}")
-        return ResponseApdu.parse(reply.payload)
+        return ResponseApdu.parse(self.exchange(cmd.to_bytes()))
 
     def close_session(self, origin: ChannelOrigin) -> None:
-        try:
-            self.transport.send_frame(WireFrame(FrameKind.SESSION_CLOSE))
-            self.transport.recv_frame()
-        except (TransportClosed, RelayProtocolError, ExchangeTimeout):
-            pass
+        self._close()

@@ -167,9 +167,7 @@ def _run_relayed_transaction(
 
 def _serve_over_loopback(relay: RelayApp) -> tuple[CardEmulator, threading.Thread]:
     """Start ``relay`` on its own thread, connected to an emulator over TCP."""
-    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    listener.bind(("127.0.0.1", 0))
-    listener.listen(1)
+    listener = socket.create_server(("127.0.0.1", 0), backlog=1)
     host, port = listener.getsockname()
 
     def relay_main() -> None:

@@ -77,6 +77,17 @@ def verify_command(pin: str) -> CommandApdu:
 
 UNLOCK_COMMAND = CommandApdu(0x80, INS_LOCK_CTRL, 0x00, P2_UNLOCK, le=0)
 LOCK_COMMAND = CommandApdu(0x80, INS_LOCK_CTRL, 0x00, P2_LOCK, le=0)
+# the data is an empty command template (tag 83): the applet asks for no PDOL
+GPO_COMMAND = CommandApdu(0x80, INS_GPO, 0x00, 0x00, data=b"\x83\x00", le=0)
+
+
+def read_record_command(sfi: int, record_no: int) -> CommandApdu:
+    return CommandApdu(0x00, INS_READ_RECORD, record_no, (sfi << 3) | 0x04, le=0)
+
+
+def compute_cc_command(un: bytes) -> CommandApdu:
+    return CommandApdu(0x80, INS_COMPUTE_CC, 0x8E, 0x80, data=un, le=0)
+
 
 PIN_RETRY_LIMIT = 3
 
@@ -164,13 +175,13 @@ def _mag_stripe_record(p: CardProfile) -> bytes:
     return node.encode()
 
 
-DEFAULT_CARD_LIST_PAYLOAD = TlvNode.constructed(
+CARD_LIST_PAYLOAD = TlvNode.constructed(
     0xA5, [TlvNode.primitive(0x4F, PREPAID_AID)]
 ).encode()
-DEFAULT_STATUS_PAYLOAD = TlvNode.constructed(
+STATUS_PAYLOAD = TlvNode.constructed(
     0xE3, [TlvNode.primitive(0x4F, PREPAID_AID)]
 ).encode()
-DEFAULT_CARD_MANAGER_RESPONSE = TlvNode.constructed(
+CARD_MANAGER_RESPONSE = TlvNode.constructed(
     0x6F,
     [
         TlvNode.primitive(0x84, ISD_AID),
@@ -249,7 +260,7 @@ class PaymentApplet(Applet):
         self, se: "SecureElement", origin: ChannelOrigin, cmd: CommandApdu
     ) -> ResponseApdu:
         if cmd.cla == 0x80 and cmd.ins == INS_GPO and (cmd.p1, cmd.p2) == (0, 0):
-            if cmd.data != b"\x83\x00":
+            if cmd.data != GPO_COMMAND.data:
                 return status(SW_WRONG_DATA)
             return status(SW_SUCCESS, _gpo_body(self.aip, self.afl))
         if cmd.cla == 0x00 and cmd.ins == INS_READ_RECORD:
@@ -282,22 +293,12 @@ class WalletControlApplet(Applet):
     """The wallet's on-card component: lock state, PIN gate, card toggles.
 
     Only reachable through the internal interface. The list/status payloads
-    are configurable stubs; the corresponding commands on the real card are
+    are fixed stubs; the corresponding commands on the real card are
     undocumented, so nothing authoritative is claimed about their content.
     """
 
-    def __init__(
-        self,
-        card_list_payload: Optional[bytes] = None,
-        status_payload: Optional[bytes] = None,
-    ):
+    def __init__(self):
         super().__init__([WALLET_AID], internal_only=True)
-        self.card_list_payload = (
-            DEFAULT_CARD_LIST_PAYLOAD if card_list_payload is None else card_list_payload
-        )
-        self.status_payload = (
-            DEFAULT_STATUS_PAYLOAD if status_payload is None else status_payload
-        )
 
     def process(
         self, se: "SecureElement", origin: ChannelOrigin, cmd: CommandApdu
@@ -315,9 +316,9 @@ class WalletControlApplet(Applet):
                 return self._lock(se)
             return status(SW_INS_NOT_SUPPORTED)
         if cmd.ins == INS_GET_DATA and (cmd.p1, cmd.p2) == (0x00, 0xA5):
-            return status(SW_SUCCESS, self.card_list_payload)
+            return status(SW_SUCCESS, CARD_LIST_PAYLOAD)
         if cmd.ins == INS_GET_STATUS and (cmd.p1, cmd.p2) == (0x40, 0x00):
-            return status(SW_SUCCESS, self.status_payload)
+            return status(SW_SUCCESS, STATUS_PAYLOAD)
         if cmd.ins == INS_CARD_TOGGLE and cmd.p2 == 0x01 and cmd.p1 in (0x01, 0x02):
             return self._toggle_card(se, enable=(cmd.p1 == 0x02), data=cmd.data)
         return status(SW_INS_NOT_SUPPORTED)
@@ -369,23 +370,15 @@ class CardManagerStub(Applet):
     """Issuer security domain stand-in used purely as a timing workload.
 
     Registered under both its full AID and the 7-byte name commonly used to
-    select it, and answers SELECT with a fixed-size payload.
+    select it, and answers SELECT with a fixed 103-byte payload (a 105-byte
+    response frame including the status word).
     """
 
-    RESPONSE_DATA_LEN = 103  # 105-byte response frame including the status word
-
-    def __init__(self, response_data: Optional[bytes] = None):
+    def __init__(self):
         super().__init__([ISD_AID, ISD_PREFIX_AID])
-        if response_data is None:
-            response_data = DEFAULT_CARD_MANAGER_RESPONSE
-        if len(response_data) != self.RESPONSE_DATA_LEN:
-            raise ValueError(
-                f"card manager stub payload must be {self.RESPONSE_DATA_LEN} bytes"
-            )
-        self.response_data = response_data
 
     def select(self, se: "SecureElement", origin: ChannelOrigin) -> ResponseApdu:
-        return status(SW_SUCCESS, self.response_data)
+        return status(SW_SUCCESS, CARD_MANAGER_RESPONSE)
 
 
 class SecureElement:

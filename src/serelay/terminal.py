@@ -20,7 +20,15 @@ from .apdu import CommandApdu, ResponseApdu
 from .hexutil import format_hex
 from .latency import LatencyModel, WallClock
 from .relay import CardRemoved, ExchangeTimeout, se_exchange
-from .secure_element import ChannelOrigin, PPSE_AID, SecureElement, select_command
+from .secure_element import (
+    ChannelOrigin,
+    GPO_COMMAND,
+    PPSE_AID,
+    SecureElement,
+    compute_cc_command,
+    read_record_command,
+    select_command,
+)
 
 
 class MalformedAfl(Exception):
@@ -255,7 +263,7 @@ def _run_steps(report: TransactionReport, step, un: bytes) -> None:
     if df_name != aid:
         raise _Abort(DECLINED, "fci_name_mismatch")
 
-    gpo = step("gpo", CommandApdu(0x80, 0xA8, 0x00, 0x00, data=b"\x83\x00", le=0))
+    gpo = step("gpo", GPO_COMMAND)
     gpo_nodes = _decode_or_decline(gpo.data, "malformed_gpo")
     aip = tlv.find(gpo_nodes, [0x77, 0x82])
     if aip is None or len(aip) != 2:
@@ -269,10 +277,7 @@ def _run_steps(report: TransactionReport, step, un: bytes) -> None:
     for chunk_at in range(0, len(afl), 4):
         sfi, first, last, _signed = parse_afl(afl[chunk_at : chunk_at + 4])
         for record_no in range(first, last + 1):
-            record = step(
-                "read_record",
-                CommandApdu(0x00, 0xB2, record_no, (sfi << 3) | 0x04, le=0),
-            )
+            record = step("read_record", read_record_command(sfi, record_no))
             nodes = _decode_or_decline(record.data, "malformed_record")
             track1 = tlv.find(nodes, [0x70, 0x56])
             track2 = tlv.find(nodes, [0x70, 0x9F6B])
@@ -289,7 +294,7 @@ def _run_steps(report: TransactionReport, step, un: bytes) -> None:
     except MalformedTrack:
         raise _Abort(DECLINED, "malformed_track2") from None
 
-    cc = step("compute_cc", CommandApdu(0x80, 0x2A, 0x8E, 0x80, data=un, le=0))
+    cc = step("compute_cc", compute_cc_command(un))
     cc_nodes = _decode_or_decline(cc.data, "malformed_cryptogram")
     cvc3_t2 = tlv.find(cc_nodes, [0x77, 0x9F61])
     cvc3_t1 = tlv.find(cc_nodes, [0x77, 0x9F60])

@@ -228,3 +228,42 @@ class TestConfigFiles:
         with pytest.raises(SystemExit) as exc_info:
             main(["pos-direct", "--profile", str(path)])
         assert exc_info.value.code == 2
+
+
+class TestConfigFileChecks:
+    def test_policy_key_typo_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "policy.json"
+        path.write_text('{"require_pin_on_crad": true}')
+        with pytest.raises(SystemExit) as exc_info:
+            main(["relay-attack", "--seed", "7", "--policy", str(path)])
+        assert exc_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "require_pin_on_crad" in captured.err
+        assert "approved" not in captured.out
+
+    @pytest.mark.parametrize(
+        "flag, text",
+        [
+            ("--profile", '{"pan_number": "5430000000070002"}'),
+            ("--profile", '{"track1_atc_digits": "4"}'),
+            ("--profile", '["5430000000070002"]'),
+            ("--policy", '{"require_pin_on_crad": true}'),
+            ("--policy", '{"require_pin_on_card": "yes"}'),
+            ("--policy", "[]"),
+            ("--latency-params", '{"internal_lo": 10.0}'),
+            ("--latency-params", '{"internal_low": "10"}'),
+            ("--latency-params", "[]"),
+        ],
+        ids=[
+            f"{kind}-{bad}"
+            for kind in ("profile", "policy", "latency")
+            for bad in ("unknown-key", "wrong-type", "not-an-object")
+        ],
+    )
+    def test_bad_config_file_is_usage_error(self, tmp_path, capsys, flag, text):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        with pytest.raises(SystemExit) as exc_info:
+            main(["relay-attack", "--seed", "7", flag, str(path)])
+        assert exc_info.value.code == 2
+        assert "error:" in capsys.readouterr().err

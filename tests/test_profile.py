@@ -114,3 +114,79 @@ class TestCountermeasurePolicy:
         aid = bytes.fromhex("A0000000041010AA54303200FF01FFFF")
         policy = CountermeasurePolicy().with_internal_disabled(aid)
         assert aid in policy.internal_disabled_aids
+
+
+CUSTOM_PAN = "5430111111111112"
+
+SAVED_TEXT = [
+    (
+        CardProfile(),
+        "{\n"
+        '  "pan": "5430000000070002",\n'
+        '  "expiry": "1711",\n'
+        '  "service_code": "101",\n'
+        '  "discretionary": "0010000000000",\n'
+        '  "track1_cvc3_bitmap": "000000000038",\n'
+        '  "track1_unatc_bitmap": "0000000003C6",\n'
+        '  "track2_cvc3_bitmap": "0038",\n'
+        '  "track2_unatc_bitmap": "03C6",\n'
+        '  "track1_atc_digits": 4,\n'
+        '  "track2_atc_digits": 4,\n'
+        '  "cvc3_key": "404142434445464748494A4B4C4D4E4F",\n'
+        '  "pin": "1234"\n'
+        "}\n",
+    ),
+    (
+        CardProfile(
+            pan=CUSTOM_PAN, pin="98765", track1_atc_digits=3, cvc3_key=bytes(range(16))
+        ),
+        "{\n"
+        '  "pan": "5430111111111112",\n'
+        '  "expiry": "1711",\n'
+        '  "service_code": "101",\n'
+        '  "discretionary": "0010000000000",\n'
+        '  "track1_cvc3_bitmap": "000000000038",\n'
+        '  "track1_unatc_bitmap": "0000000003C6",\n'
+        '  "track2_cvc3_bitmap": "0038",\n'
+        '  "track2_unatc_bitmap": "03C6",\n'
+        '  "track1_atc_digits": 3,\n'
+        '  "track2_atc_digits": 4,\n'
+        '  "cvc3_key": "000102030405060708090A0B0C0D0E0F",\n'
+        '  "pin": "98765"\n'
+        "}\n",
+    ),
+    (
+        CountermeasurePolicy(),
+        '{\n  "require_pin_on_card": false,\n  "internal_disabled_aids": []\n}\n',
+    ),
+    (
+        CountermeasurePolicy(
+            require_pin_on_card=True,
+            internal_disabled_aids=frozenset(
+                {
+                    bytes.fromhex("A0000000041010AA54303200FF01FFFF"),
+                    bytes.fromhex("A000000003535041"),
+                }
+            ),
+        ),
+        "{\n"
+        '  "require_pin_on_card": true,\n'
+        '  "internal_disabled_aids": [\n'
+        '    "A000000003535041",\n'
+        '    "A0000000041010AA54303200FF01FFFF"\n'
+        "  ]\n"
+        "}\n",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "config, text",
+    SAVED_TEXT,
+    ids=["default-profile", "custom-profile", "default-policy", "custom-policy"],
+)
+def test_saved_file_text_is_pinned(tmp_path, config, text):
+    path = tmp_path / "config.json"
+    config.save(path)
+    assert path.read_text() == text
+    assert type(config).load(path) == config

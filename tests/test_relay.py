@@ -315,3 +315,16 @@ class TestSecureElementHost:
         with pytest.raises(ActivationRefused) as exc_info:
             emulator.activate_field()
         assert exc_info.value.reason == "access_denied"
+
+    def test_se_link_dies_mid_session(self):
+        se = SecureElement()
+        se_link = InProcessTransport(SecureElementHost(se))
+        relay = RelayApp(RemoteSecureElement(se_link))
+        emulator = CardEmulator(InProcessTransport(relay))
+        emulator.activate_field()
+        assert not se.wallet_locked
+        se_link.close()  # SE host gone while the relay session is open
+        with pytest.raises(CardRemoved, match="^relay reported access_denied$"):
+            emulator.exchange(parse_hex(SELECT_PPSE_C))
+        assert not relay.session_open
+        assert se.wallet_locked
