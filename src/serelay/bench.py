@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence, Union
 
 from .apdu import CommandApdu
-from .latency import AccessPath, LatencyModel, LatencyParams
+from .latency import AccessPath, LatencyParams, sample_paths_at
 from .secure_element import ChannelOrigin, ISD_PREFIX_AID, SecureElement, select_command
 
 # SELECT card manager by its 7-byte name: 13-byte command, 105-byte response
@@ -152,39 +152,65 @@ def run_benchmark(spec: BenchmarkSpec, se: Optional[SecureElement] = None) -> Hi
 
 
 def sample_benchmark(
-    spec: BenchmarkSpec, se: Optional[SecureElement] = None
-) -> tuple[Histogram, list[float]]:
+    spec: Union[BenchmarkSpec, Sequence[BenchmarkSpec]],
+    se: Optional[SecureElement] = None,
+):
     """Like :func:`run_benchmark`, also returning the modelled delays in order.
 
     The delays are the latency model's samples alone, without host compute
     time even when ``spec.include_compute_time`` adds it to the histogram.
+
+    Given a sequence of specs that share seed, repetitions, command and
+    params, it returns one ``(histogram, delays)`` pair per spec, each equal
+    to what the spec gives alone. The runs go index-major: each repetition
+    draws every path's delay from the index's one generator, then exchanges
+    the command once per spec, each spec on a fresh SE of its own.
     """
-    se = se if se is not None else SecureElement()
-    origin = (
-        ChannelOrigin.CONTACTLESS
-        if spec.path is AccessPath.DIRECT_EXTERNAL
-        else ChannelOrigin.INTERNAL
-    )
+    if isinstance(spec, BenchmarkSpec):
+        return _sample_index_major([spec], [se if se is not None else SecureElement()])[0]
+    if se is not None:
+        raise ValueError("se serves a single spec")
+    specs = list(spec)
+    return _sample_index_major(specs, [SecureElement() for _ in specs])
+
+
+def _sample_index_major(
+    specs: list[BenchmarkSpec], ses: list[SecureElement]
+) -> list[tuple[Histogram, list[float]]]:
+    if len({(s.seed, s.repetitions, s.command, s.params) for s in specs}) != 1:
+        raise ValueError("specs must share seed, repetitions, command and params")
+    first = specs[0]
     try:
-        cmd = CommandApdu.parse(spec.command)
+        cmd = CommandApdu.parse(first.command)
     except Exception as exc:
         raise BenchmarkError(f"workload command does not parse: {exc}") from exc
-    model = LatencyModel(spec.path, spec.seed, spec.params)
-    hist = Histogram(bin_width_ms=spec.bin_width_ms, bin_count=spec.bin_count)
-    modelled: list[float] = []
-    se.open_session(origin)
-    for _ in range(spec.repetitions):
-        started = time.perf_counter()
-        resp = se.process(origin, cmd)
-        compute_ms = (time.perf_counter() - started) * 1000.0
-        if not resp.is_success:
-            raise BenchmarkError(
-                f"path {spec.path.value} unavailable: workload answered {resp.sw:04X}"
-            )
-        delay = model.sample_ms()
-        modelled.append(delay)
-        if spec.include_compute_time:
-            delay += compute_ms
-        hist.add(delay)
-    se.close_session(origin)
-    return hist, modelled
+    params = first.params if first.params is not None else LatencyParams()
+    paths = list(dict.fromkeys(s.path for s in specs))
+    runs = []
+    for s, se in zip(specs, ses):
+        origin = (
+            ChannelOrigin.CONTACTLESS
+            if s.path is AccessPath.DIRECT_EXTERNAL
+            else ChannelOrigin.INTERNAL
+        )
+        hist = Histogram(bin_width_ms=s.bin_width_ms, bin_count=s.bin_count)
+        runs.append((s, se, origin, hist, []))
+        se.open_session(origin)
+    for index in range(first.repetitions):
+        delays = sample_paths_at(paths, first.seed, index, params)
+        for s, se, origin, hist, modelled in runs:
+            started = time.perf_counter()
+            resp = se.process(origin, cmd)
+            compute_ms = (time.perf_counter() - started) * 1000.0
+            if not resp.is_success:
+                raise BenchmarkError(
+                    f"path {s.path.value} unavailable: workload answered {resp.sw:04X}"
+                )
+            delay = delays[s.path]
+            modelled.append(delay)
+            if s.include_compute_time:
+                delay += compute_ms
+            hist.add(delay)
+    for _s, se, origin, *_ in runs:
+        se.close_session(origin)
+    return [(hist, modelled) for *_, hist, modelled in runs]

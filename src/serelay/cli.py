@@ -174,8 +174,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
     params = _load(LatencyParams, args.latency_params)
-    for path in paths:
-        spec = BenchmarkSpec(
+    specs = [
+        BenchmarkSpec(
             path=path,
             repetitions=args.reps,
             seed=args.seed,
@@ -184,7 +184,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
             params=params,
             include_compute_time=args.include_compute,
         )
-        hist, samples = sample_benchmark(spec)
+        for path in paths
+    ]
+    for path, (hist, samples) in zip(paths, sample_benchmark(specs)):
         samples.sort()
         median = samples[len(samples) // 2]
         summary = (

@@ -9,10 +9,15 @@ in practice (external ~30 ms, internal 50-80 ms, WiFi adding 100-210 ms,
 internet adding at least 150 ms with more than half of all round trips
 above one second); they are models for experimentation, not measurements.
 
-Each sample index draws from its own sub-seeded generator whose first draw
-is the internal-access component. Models built from the same seed therefore
-pair up sample-by-sample: ``wifi.sample_at(k) - internal.sample_at(k)`` is
-exactly the WiFi overhead drawn for index ``k``.
+Each sample index has one sub-seeded generator, shared by all four paths:
+every path reads its first two uniform draws, and only the internet path
+draws more. The first draw is the internal-access component, so models built
+from the same seed pair up sample-by-sample by construction:
+``wifi.sample_at(k) - internal.sample_at(k)`` is exactly the WiFi overhead
+drawn for index ``k``. :func:`sample_paths_at` gives several paths' delays
+at an index from one generator; each equals what the path's own generator
+would give through ``random.gauss``, ``random.uniform``, ``random.random``
+and ``random.lognormvariate``.
 """
 from __future__ import annotations
 
@@ -21,7 +26,7 @@ import random
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Iterable, Optional
 
 from .profile import JsonConfig
 
@@ -52,6 +57,45 @@ class LatencyParams(JsonConfig):
     internet_heavy_sigma: float = 0.8
 
 
+def sample_paths_at(
+    paths: Iterable[AccessPath], seed: int, index: int, params: LatencyParams
+) -> dict[AccessPath, float]:
+    """The delay at ``index`` of each of ``paths``, all from the index's one generator.
+
+    The paths must be distinct: a repeated internet path would draw again.
+    """
+    r = random.Random(f"{seed}:{index}")
+    u0 = r.random()
+    u1 = r.random()
+    p = params
+    # random.uniform's formula on the first draw
+    base = p.internal_low + (p.internal_high - p.internal_low) * u0
+    delays = {}
+    for path in paths:
+        if path is AccessPath.DIRECT_EXTERNAL:
+            # random.gauss's Box-Muller step on the first two draws
+            z = math.cos(u0 * math.tau) * math.sqrt(-2.0 * math.log(1.0 - u1))
+            delays[path] = max(0.0, p.external_mean + z * p.external_sd)
+        elif path is AccessPath.DIRECT_INTERNAL:
+            delays[path] = base
+        elif path is AccessPath.RELAY_WIFI:
+            spread = p.wifi_overhead_high - p.wifi_overhead_low
+            delays[path] = base + (p.wifi_overhead_low + spread * u1)
+        else:
+            # internet: floored fast component mixed with a heavy (>=1 s) one,
+            # chosen by the second draw; the log-normal draws come after it
+            if u1 < p.internet_heavy_weight:
+                mu = math.log(p.internet_heavy_median)
+                overhead = p.internet_heavy_floor + r.lognormvariate(
+                    mu, p.internet_heavy_sigma
+                )
+            else:
+                mu = math.log(p.internet_fast_mode) + p.internet_fast_sigma**2
+                overhead = p.internet_floor + r.lognormvariate(mu, p.internet_fast_sigma)
+            delays[path] = base + overhead
+    return delays
+
+
 class LatencyModel:
     """Seeded per-round-trip delay generator for one access path."""
 
@@ -68,25 +112,7 @@ class LatencyModel:
 
     def sample_at(self, index: int) -> float:
         """Delay for the given sample index; pure in (seed, index)."""
-        r = random.Random(f"{self.seed}:{index}")
-        p = self.params
-        if self.path is AccessPath.DIRECT_EXTERNAL:
-            return max(0.0, r.gauss(p.external_mean, p.external_sd))
-        base = r.uniform(p.internal_low, p.internal_high)
-        if self.path is AccessPath.DIRECT_INTERNAL:
-            return base
-        if self.path is AccessPath.RELAY_WIFI:
-            return base + r.uniform(p.wifi_overhead_low, p.wifi_overhead_high)
-        # internet: floored fast component mixed with a heavy (>=1 s) one
-        if r.random() < p.internet_heavy_weight:
-            mu = math.log(p.internet_heavy_median)
-            overhead = p.internet_heavy_floor + r.lognormvariate(
-                mu, p.internet_heavy_sigma
-            )
-        else:
-            mu = math.log(p.internet_fast_mode) + p.internet_fast_sigma**2
-            overhead = p.internet_floor + r.lognormvariate(mu, p.internet_fast_sigma)
-        return base + overhead
+        return sample_paths_at((self.path,), self.seed, index, self.params)[self.path]
 
     def sample_ms(self) -> float:
         """Next delay in the model's sequence."""

@@ -71,7 +71,10 @@ def _decode_value(annotation: str, value: Any, where: str) -> Any:
     ):
         raise ValueError(f"{where} must be {wanted}, got {value!r}")
     if annotation == "bytes":
-        return parse_hex(value)
+        try:
+            return parse_hex(value)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
     if annotation == "frozenset[bytes]":
         return frozenset(_decode_value("bytes", item, where) for item in value)
     return value
@@ -91,8 +94,8 @@ class JsonConfig:
     A file is one JSON object keyed by field name: ``bytes`` fields are hex
     strings, the AID set is a sorted list of hex strings, and every other
     field keeps its JSON type. Omitted keys keep their defaults; a file that
-    is not one object, an unknown key or a wrong-typed value is a
-    ``ValueError``.
+    is not one object, an unknown key or a wrong-typed or invalid value is a
+    ``ValueError`` whose message starts with the file's path.
     """
 
     @classmethod
@@ -107,7 +110,10 @@ class JsonConfig:
             if key not in annotations:
                 raise ValueError(f"{path}: unknown key {key!r}")
             kwargs[key] = _decode_value(annotations[key], value, f"{path}: {key}")
-        return cls(**kwargs)
+        try:
+            return cls(**kwargs)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
     def save(self, path: Union[str, Path]) -> None:
         raw = {f.name: _encode_value(getattr(self, f.name)) for f in fields(self)}

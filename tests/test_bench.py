@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from serelay.apdu import CommandApdu
@@ -10,8 +12,9 @@ from serelay.bench import (
     histogram_to_csv,
     render_ascii,
     run_benchmark,
+    sample_benchmark,
 )
-from serelay.latency import AccessPath
+from serelay.latency import AccessPath, LatencyParams
 from serelay.profile import CardProfile
 from serelay.secure_element import (
     ChannelOrigin,
@@ -182,6 +185,39 @@ class TestRunBenchmark:
     def test_bad_spec_rejected(self):
         with pytest.raises(ValueError):
             BenchmarkSpec(repetitions=0)
+
+
+class TestSampleIndexMajor:
+    def test_each_spec_equals_its_own_run(self):
+        # paths with their own layouts, one twice, sampled together
+        specs = [
+            BenchmarkSpec(path=path, repetitions=300, seed=5, bin_width_ms=width)
+            for path, width in zip(
+                [*AccessPath, AccessPath.RELAY_INTERNET], [1.0, 5.0, 20.0, 50.0, 10.0]
+            )
+        ]
+        together = sample_benchmark(specs)
+        assert len(together) == len(specs)
+        for spec, (hist, delays) in zip(specs, together):
+            alone_hist, alone_delays = sample_benchmark(spec)
+            assert delays == alone_delays
+            assert hist == alone_hist
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("seed", 6), ("repetitions", 20), ("command", bytes.fromhex("00A4040000")),
+         ("params", LatencyParams(external_sd=1.0))],
+    )
+    def test_specs_must_share_the_draw(self, field, value):
+        first = BenchmarkSpec(path=AccessPath.DIRECT_EXTERNAL, repetitions=10, seed=5)
+        other = replace(first, path=AccessPath.RELAY_WIFI, **{field: value})
+        with pytest.raises(ValueError):
+            sample_benchmark([first, other])
+
+    def test_se_serves_a_single_spec(self):
+        spec = BenchmarkSpec(repetitions=10)
+        with pytest.raises(ValueError):
+            sample_benchmark([spec, spec], SecureElement())
 
 
 class TestAsciiChart:

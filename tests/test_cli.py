@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -5,6 +6,10 @@ import pytest
 from serelay.cli import main
 from serelay.profile import CardProfile, CountermeasurePolicy
 from serelay.secure_element import PREPAID_AID
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def write_policy(tmp_path, **kwargs) -> str:
@@ -139,6 +144,37 @@ class TestBench:
             " median_ms>1000: true",
         ]
 
+    @pytest.mark.parametrize("extra", [[], ["--include-compute"]])
+    def test_all_paths_output_pinned(self, tmp_path, capsys, extra):
+        # digests captured before the paths shared one generator per index
+        rc = main(
+            ["bench", "--path", "all", "--reps", "200", "--seed", "3", "--ascii",
+             "--out", str(tmp_path), *extra]
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        summaries = "".join(line + "\n" for line in out.splitlines() if "reps=" in line)
+        assert sha256(summaries) == (
+            "2732501c0ab0aa32c4ce535815296960bc51921a02b40c20cfe05599dc774bc9"
+        )
+        if extra:  # host compute time may move a delay across a bin edge
+            return
+        assert sha256(out) == "60c8ac8968ca39c9319a062ab04c81f8177ac96e9a36820e0b19c8a9c27712c8"
+        assert {p.name: sha256(p.read_text()) for p in tmp_path.glob("*.csv")} == {
+            "external.csv": "3f4934e36cd1b700f5bfb8e73744bc0d914a17b96ac380d76c9b74eeb51cfc0c",
+            "internal.csv": "a274ad57a1b1051983890b1b51294a865637f5fa80fd245c7d3cd7ae317951e4",
+            "wifi.csv": "fb52e9cd29c8fcb7abc1a01fa7a8939fd1a390d59b613db08e42cd4e7fe1e290",
+            "internet.csv": "19cedbf5fa49f9e235fdac378f5967b37ca6050138047d66c3adfec75089822e",
+        }
+
+    def test_single_path_csv_equals_all_paths_csv(self, tmp_path):
+        all_dir, one_dir = tmp_path / "all", tmp_path / "one"
+        argv = ["bench", "--reps", "200", "--seed", "3", "--out"]
+        assert main([*argv, str(all_dir), "--path", "all"]) == 0
+        for path in ("external", "internal", "wifi", "internet"):
+            assert main([*argv, str(one_dir), "--path", path]) == 0
+            assert (one_dir / f"{path}.csv").read_text() == (all_dir / f"{path}.csv").read_text()
+
     def test_zero_reps_is_usage_error(self):
         with pytest.raises(SystemExit) as exc_info:
             main(["bench", "--reps", "0"])
@@ -267,3 +303,21 @@ class TestConfigFileChecks:
             main(["relay-attack", "--seed", "7", flag, str(path)])
         assert exc_info.value.code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, text, message",
+        [
+            ("--profile", '{"cvc3_key": "zz"}', "cvc3_key: invalid hex string: 'zz'"),
+            ("--profile", '{"cvc3_key": "00"}', "cvc3_key must be 16 bytes"),
+            ("--policy", '{"internal_disabled_aids": ["A0000000"]}',
+             "AID a0000000 must be 5-16 bytes"),
+        ],
+        ids=["profile-bad-hex", "profile-short-key", "policy-short-aid"],
+    )
+    def test_bad_value_names_the_file(self, tmp_path, capsys, flag, text, message):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        with pytest.raises(SystemExit) as exc_info:
+            main(["relay-attack", "--seed", "7", flag, str(path)])
+        assert exc_info.value.code == 2
+        assert f"error: {path}: {message}\n" in capsys.readouterr().err

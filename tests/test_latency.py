@@ -1,4 +1,9 @@
+import hashlib
+import math
+import random
 import statistics
+
+import pytest
 
 from serelay.latency import (
     AccessPath,
@@ -6,6 +11,7 @@ from serelay.latency import (
     LatencyParams,
     VirtualClock,
     WallClock,
+    sample_paths_at,
 )
 
 SAMPLES = 5000
@@ -91,3 +97,80 @@ class TestClocks:
         before = clock.now_ms()
         clock.sleep_ms(15.0)
         assert clock.now_ms() - before >= 14.0
+
+
+# The perf benchmark's zero-delay parameters and a heavy, wide-spread mix:
+# together with the defaults they reach both internet branches, the
+# external clamp at zero and degenerate uniform bands.
+ZERO_DELAYS = LatencyParams(
+    external_mean=0.0,
+    external_sd=0.0,
+    internal_low=0.0,
+    internal_high=0.0,
+    wifi_overhead_low=0.0,
+    wifi_overhead_high=0.0,
+    internet_floor=0.0,
+    internet_heavy_floor=0.0,
+)
+HEAVY_WIDE = LatencyParams(internet_heavy_weight=1.0, external_sd=50.0)
+PARAM_SETS = {"defaults": LatencyParams(), "zero": ZERO_DELAYS, "heavy_wide": HEAVY_WIDE}
+IDENTITY_SEEDS = (0, 1, 7, 42, 12345, 2**31 + 5, -3)
+GRID_DIGEST = "ca9f1e273eda360198440ea314f0e1f00843bc7c677a7db4954a1441b1fc6ce6"
+
+
+def stdlib_reference(path: AccessPath, seed: int, index: int, p: LatencyParams) -> float:
+    """Each path drawn from a generator of its own, through the stdlib calls."""
+    r = random.Random(f"{seed}:{index}")
+    if path is AccessPath.DIRECT_EXTERNAL:
+        return max(0.0, r.gauss(p.external_mean, p.external_sd))
+    base = r.uniform(p.internal_low, p.internal_high)
+    if path is AccessPath.DIRECT_INTERNAL:
+        return base
+    if path is AccessPath.RELAY_WIFI:
+        return base + r.uniform(p.wifi_overhead_low, p.wifi_overhead_high)
+    if r.random() < p.internet_heavy_weight:
+        mu = math.log(p.internet_heavy_median)
+        overhead = p.internet_heavy_floor + r.lognormvariate(mu, p.internet_heavy_sigma)
+    else:
+        mu = math.log(p.internet_fast_mode) + p.internet_fast_sigma**2
+        overhead = p.internet_floor + r.lognormvariate(mu, p.internet_fast_sigma)
+    return base + overhead
+
+
+class TestBitIdentity:
+    """Seeded delays stay bit-identical to the stdlib draws they were defined by."""
+
+    @pytest.mark.parametrize("seed", IDENTITY_SEEDS)
+    @pytest.mark.parametrize("params", PARAM_SETS.values(), ids=PARAM_SETS.keys())
+    def test_sample_at_matches_stdlib(self, seed, params):
+        for path in AccessPath:
+            m = LatencyModel(path, seed, params)
+            for k in range(3000):
+                expected = stdlib_reference(path, seed, k, params)
+                assert m.sample_at(k) == expected, (path, seed, k)
+
+    @pytest.mark.parametrize("params", PARAM_SETS.values(), ids=PARAM_SETS.keys())
+    def test_all_paths_from_one_generator(self, params):
+        for seed in IDENTITY_SEEDS:
+            for k in range(300):
+                expected = {
+                    path: stdlib_reference(path, seed, k, params) for path in AccessPath
+                }
+                assert sample_paths_at(AccessPath, seed, k, params) == expected
+                # any subset, in any order, gets the same values
+                subset = (AccessPath.RELAY_INTERNET, AccessPath.DIRECT_EXTERNAL)
+                assert sample_paths_at(subset, seed, k, params) == {
+                    path: expected[path] for path in subset
+                }
+
+    def test_sample_grid_digest(self):
+        # captured before the paths shared one generator per index
+        digest = hashlib.sha256()
+        for name, params in PARAM_SETS.items():
+            for seed in IDENTITY_SEEDS:
+                for path in AccessPath:
+                    m = LatencyModel(path, seed, params)
+                    for k in range(0, 3000, 7):
+                        digest.update(f"{name} {seed} {path.value} {k} "
+                                      f"{m.sample_at(k).hex()}\n".encode())
+        assert digest.hexdigest() == GRID_DIGEST
