@@ -7,16 +7,23 @@ locator, then request a cryptographic checksum over a fresh unpredictable
 number. The terminal works against any card interface exposing
 ``exchange(bytes) -> bytes``, whether the in-process secure element or a card
 emulator on the far side of a relay.
+
+A reply without a status word, a non-9000 status word or a response the
+terminal cannot use declines the transaction with a reason naming the
+fault. The fields read from each distinct response are kept in a bounded
+memo keyed on its bytes, so only COMPUTE CC, whose bytes never repeat, is
+decoded in every transaction; a malformed response is never cached.
 """
 from __future__ import annotations
 
+import functools
 import json
 import random
 from dataclasses import dataclass, field
 from typing import Optional, Protocol
 
 from . import tlv
-from .apdu import CommandApdu, ResponseApdu
+from .apdu import CommandApdu, MalformedApdu, ResponseApdu
 from .hexutil import format_hex
 from .latency import LatencyModel, WallClock
 from .relay import CardRemoved, ExchangeTimeout, se_exchange
@@ -80,8 +87,9 @@ class TransactionStep:
 
     @property
     def sw(self) -> Optional[int]:
-        """Status word, or ``None`` for a step that timed out with no response."""
-        if not self.rapdu:
+        """Status word, or ``None`` for a step whose response holds none: one
+        that timed out, or a reply shorter than two bytes."""
+        if len(self.rapdu) < 2:
             return None
         return ResponseApdu.parse(self.rapdu).sw
 
@@ -217,7 +225,10 @@ def run_transaction(
         report.steps.append(TransactionStep(name, raw, reply, clock.now_ms() - sent_at))
         if cfg.timeout_ms is not None and clock.now_ms() - start > cfg.timeout_ms:
             raise _Abort(TIMED_OUT)
-        resp = ResponseApdu.parse(reply)
+        try:
+            resp = ResponseApdu.parse(reply)
+        except MalformedApdu:
+            raise _Abort(DECLINED, "malformed_response") from None
         if not resp.is_success:
             raise _Abort(DECLINED, f"{resp.sw:04X}")
         return resp
@@ -236,17 +247,30 @@ def run_transaction(
     return report
 
 
+# What the terminal reads from a response is memoised on the response bytes.
+# The memos are bounded and hold only immutable values; lru_cache stores no
+# exception, so a malformed response is parsed every time.
+_MEMO_SIZE = 32
+
+# tag paths of the fields read from each response, as raw tags
+_FCI_PATHS = ((b"\x6f", b"\x84"),)
+_GPO_PATHS = ((b"\x77", b"\x82"), (b"\x77", b"\x94"))
+_RECORD_PATHS = ((b"\x70", b"\x56"), (b"\x70", b"\x9f\x6b"))
+_CC_PATHS = ((b"\x77", b"\x9f\x61"), (b"\x77", b"\x9f\x60"), (b"\x77", b"\x9f\x36"))
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
 def _pick_application(fci: bytes) -> bytes:
     try:
         nodes = tlv.decode(fci)
     except tlv.TlvError:
         raise _Abort(DECLINED, "malformed_ppse_fci") from None
     candidates: list[tuple[int, bytes]] = []
-    for template in tlv.find_all(nodes, 0x61):
-        aid = tlv.find(template.children, [0x4F])
+    for template in tlv.find_all(nodes, b"\x61"):
+        aid = tlv.find(template.children, [b"\x4f"])
         if aid is None:
             continue
-        priority = tlv.find(template.children, [0x87])
+        priority = tlv.find(template.children, [b"\x87"])
         candidates.append((priority[0] if priority else 0xFF, aid))
     if not candidates:
         raise _Abort(DECLINED, "no_supported_application")
@@ -254,23 +278,34 @@ def _pick_application(fci: bytes) -> bytes:
     return candidates[0][1]
 
 
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _fields(
+    raw: bytes, paths: tuple[tuple[bytes, ...], ...], reason: str
+) -> tuple[Optional[bytes], ...]:
+    """Values at ``paths`` in the TLV response ``raw``; decline with ``reason``
+    if ``raw`` does not decode."""
+    try:
+        nodes = tlv.decode(raw)
+    except tlv.TlvError:
+        raise _Abort(DECLINED, reason) from None
+    return tuple(tlv.find(nodes, path) for path in paths)
+
+
 def _run_steps(report: TransactionReport, step, un: bytes) -> None:
     ppse = step("select_ppse", select_command(PPSE_AID))
     aid = _pick_application(ppse.data)
 
     fci = step("select_aid", select_command(aid))
-    df_name = tlv.find(_decode_or_decline(fci.data, "malformed_fci"), [0x6F, 0x84])
+    (df_name,) = _fields(fci.data, _FCI_PATHS, "malformed_fci")
     if df_name != aid:
         raise _Abort(DECLINED, "fci_name_mismatch")
 
     gpo = step("gpo", GPO_COMMAND)
-    gpo_nodes = _decode_or_decline(gpo.data, "malformed_gpo")
-    aip = tlv.find(gpo_nodes, [0x77, 0x82])
+    aip, afl = _fields(gpo.data, _GPO_PATHS, "malformed_gpo")
     if aip is None or len(aip) != 2:
         raise _Abort(DECLINED, "missing_aip")
     if aip[1] & 0x80:
         raise _Abort(DECLINED, "unsupported_profile")
-    afl = tlv.find(gpo_nodes, [0x77, 0x94])
     if afl is None or not afl or len(afl) % 4:
         raise _Abort(DECLINED, "malformed_afl")
 
@@ -278,9 +313,7 @@ def _run_steps(report: TransactionReport, step, un: bytes) -> None:
         sfi, first, last, _signed = parse_afl(afl[chunk_at : chunk_at + 4])
         for record_no in range(first, last + 1):
             record = step("read_record", read_record_command(sfi, record_no))
-            nodes = _decode_or_decline(record.data, "malformed_record")
-            track1 = tlv.find(nodes, [0x70, 0x56])
-            track2 = tlv.find(nodes, [0x70, 0x9F6B])
+            track1, track2 = _fields(record.data, _RECORD_PATHS, "malformed_record")
             if track1 is not None:
                 report.track1 = track1
             if track2 is not None:
@@ -295,22 +328,15 @@ def _run_steps(report: TransactionReport, step, un: bytes) -> None:
         raise _Abort(DECLINED, "malformed_track2") from None
 
     cc = step("compute_cc", compute_cc_command(un))
-    cc_nodes = _decode_or_decline(cc.data, "malformed_cryptogram")
-    cvc3_t2 = tlv.find(cc_nodes, [0x77, 0x9F61])
-    cvc3_t1 = tlv.find(cc_nodes, [0x77, 0x9F60])
-    atc = tlv.find(cc_nodes, [0x77, 0x9F36])
+    # a cryptogram never repeats, so it is read past the memo
+    cvc3_t2, cvc3_t1, atc = _fields.__wrapped__(
+        cc.data, _CC_PATHS, "malformed_cryptogram"
+    )
     if cvc3_t1 is None or cvc3_t2 is None or atc is None or len(atc) != 2:
         raise _Abort(DECLINED, "missing_cryptogram")
     report.cvc3_track1 = cvc3_t1
     report.cvc3_track2 = cvc3_t2
     report.atc = int.from_bytes(atc, "big")
-
-
-def _decode_or_decline(raw: bytes, reason: str) -> list[tlv.TlvNode]:
-    try:
-        return tlv.decode(raw)
-    except tlv.TlvError:
-        raise _Abort(DECLINED, reason) from None
 
 
 class DirectCardInterface:

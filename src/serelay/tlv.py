@@ -208,13 +208,14 @@ def find(nodes: Sequence[TlvNode], path: Sequence[TagLike]) -> Optional[bytes]:
 
     Each path element is located anywhere below the previous match; absence
     is reported as ``None``, never as an error. A tag no node could legally
-    carry (e.g. a lone ``FF``) is trivially absent.
+    carry (e.g. a lone ``FF``) is trivially absent, so a ``bytes`` tag is
+    searched for as it is, without a check.
     """
     current: Sequence[TlvNode] = tuple(nodes)
     node: Optional[TlvNode] = None
     for raw_tag in path:
         try:
-            wanted = tag_bytes(raw_tag)
+            wanted = raw_tag if isinstance(raw_tag, bytes) else tag_bytes(raw_tag)
         except TlvError:
             return None
         node = _find_first(current, wanted)
@@ -227,7 +228,7 @@ def find(nodes: Sequence[TlvNode], path: Sequence[TagLike]) -> Optional[bytes]:
 def find_all(nodes: Sequence[TlvNode], tag: TagLike) -> list[TlvNode]:
     """All direct or nested nodes carrying the given tag, depth-first order."""
     try:
-        wanted = tag_bytes(tag)
+        wanted = tag if isinstance(tag, bytes) else tag_bytes(tag)
     except TlvError:
         return []
     out: list[TlvNode] = []

@@ -1,14 +1,31 @@
 import hashlib
 import hmac
+import socket
+import threading
 
 import pytest
 
 from serelay.apdu import CommandApdu
 from serelay.hexutil import parse_hex
 from serelay.latency import AccessPath, LatencyModel, VirtualClock
-from serelay.profile import CardProfile
-from serelay.relay import CardRemoved, unlock_wallet
+from serelay.profile import CardProfile, luhn_check_digit
+from serelay.relay import (
+    CardEmulator,
+    CardRemoved,
+    FrameKind,
+    SocketTransport,
+    WireFrame,
+    unlock_wallet,
+)
 from serelay.secure_element import (
+    DEFAULT_AFL,
+    DEFAULT_AIP,
+    INS_COMPUTE_CC,
+    INS_GPO,
+    INS_READ_RECORD,
+    INS_SELECT,
+    MASTERCARD_AID,
+    PPSE_AID,
     ChannelOrigin,
     PaymentApplet,
     PpseApplet,
@@ -16,6 +33,7 @@ from serelay.secure_element import (
     WalletControlApplet,
     CardManagerStub,
 )
+from serelay.tlv import TlvNode
 from serelay.scenarios import run_pos_direct
 from serelay.terminal import (
     APPROVED,
@@ -192,6 +210,160 @@ class TestRunTransaction:
         assert report.outcome == CARD_REMOVED
 
 
+STEP_OF_INS = {
+    INS_GPO: "gpo",
+    INS_READ_RECORD: "read_record",
+    INS_COMPUTE_CC: "compute_cc",
+}
+
+
+def step_name(capdu: bytes) -> str:
+    """The terminal step a C-APDU belongs to, read from its INS and data."""
+    if capdu[1] == INS_SELECT:
+        return "select_ppse" if capdu[5 : 5 + capdu[4]] == PPSE_AID else "select_aid"
+    return STEP_OF_INS[capdu[1]]
+
+
+def approved_replies() -> dict[str, bytes]:
+    """The R-APDU of each step of an approved run on a default secure element."""
+    _, card = unlocked_card()
+    report = run_transaction(card, TerminalConfig(seed=11), VirtualClock())
+    assert report.outcome == APPROVED
+    return {s.name: s.rapdu for s in report.steps}
+
+
+APPROVED_REPLIES = approved_replies()
+
+
+class ScriptedCard:
+    """Card interface answering each step with a canned R-APDU.
+
+    Steps not named in ``replies`` get the approved run's answer.
+    """
+
+    def __init__(self, **replies: bytes):
+        self.replies = {**APPROVED_REPLIES, **replies}
+
+    def exchange(self, capdu, max_wait_ms=None):
+        return self.replies[step_name(capdu)]
+
+
+def run_scripted(**replies: bytes) -> TransactionReport:
+    card = ScriptedCard(**replies)
+    return run_transaction(card, TerminalConfig(seed=2), VirtualClock())
+
+
+prim, cons = TlvNode.primitive, TlvNode.constructed
+
+
+def ok(tag: int, *children: TlvNode) -> bytes:
+    """One constructed object plus status 9000."""
+    return cons(tag, children).encode() + b"\x90\x00"
+
+
+# tag 6F announces 5 value bytes and 2 follow
+TRUNCATED = parse_hex("6F05840E9000")
+AIP = prim(0x82, DEFAULT_AIP)
+AFL = prim(0x94, DEFAULT_AFL)
+CVC3S = (prim(0x9F61, b"\x12\x34"), prim(0x9F60, b"\x56\x78"))
+
+# (reason, step, R-APDU): every reason the terminal gives a malformed or
+# unusable 9000 response
+DECLINE_CASES = [
+    ("malformed_ppse_fci", "select_ppse", TRUNCATED),
+    (
+        "no_supported_application",
+        "select_ppse",
+        ok(0x6F, prim(0x84, PPSE_AID), cons(0xA5, [cons(0xBF0C, [])])),
+    ),
+    (
+        "no_supported_application",  # a template without an AID is skipped
+        "select_ppse",
+        ok(0x6F, cons(0xA5, [cons(0xBF0C, [cons(0x61, [prim(0x87, b"\x01")])])])),
+    ),
+    ("malformed_fci", "select_aid", TRUNCATED),
+    ("fci_name_mismatch", "select_aid", ok(0x6F, prim(0x84, MASTERCARD_AID))),
+    ("fci_name_mismatch", "select_aid", ok(0x6F, cons(0xA5, []))),
+    ("malformed_gpo", "gpo", TRUNCATED),
+    ("missing_aip", "gpo", ok(0x77, AFL)),
+    ("missing_aip", "gpo", ok(0x77, prim(0x82, b"\x00"), AFL)),
+    ("unsupported_profile", "gpo", ok(0x77, prim(0x82, parse_hex("0080")), AFL)),
+    ("malformed_afl", "gpo", ok(0x77, AIP)),
+    ("malformed_afl", "gpo", ok(0x77, AIP, prim(0x94, b""))),
+    ("malformed_afl", "gpo", ok(0x77, AIP, prim(0x94, parse_hex("080101")))),
+    ("malformed_record", "read_record", TRUNCATED),
+    ("missing_track_data", "read_record", ok(0x70, prim(0x56, b"B5430"))),
+    ("malformed_track2", "read_record", ok(0x70, prim(0x9F6B, parse_hex("12345678")))),
+    ("malformed_cryptogram", "compute_cc", TRUNCATED),
+    ("missing_cryptogram", "compute_cc", ok(0x77, *CVC3S)),
+    ("missing_cryptogram", "compute_cc", ok(0x77, *CVC3S, prim(0x9F36, b"\x01"))),
+]
+
+
+class TestDeclineReasons:
+    def test_scripted_card_approves_with_approved_replies(self):
+        report = run_scripted()
+        assert report.outcome == APPROVED
+        assert [s.rapdu for s in report.steps] == list(APPROVED_REPLIES.values())
+
+    @pytest.mark.parametrize(
+        "reason, step, reply", DECLINE_CASES, ids=[case[0] for case in DECLINE_CASES]
+    )
+    def test_reason(self, reason, step, reply):
+        report = run_scripted(**{step: reply})
+        assert (report.outcome, report.reason) == (DECLINED, reason)
+        assert report.steps[-1].name == step
+        assert report.steps[-1].rapdu == reply
+
+    def test_malformed_replies_after_approved_runs_and_each_other(self):
+        # whatever the terminal remembers of earlier responses, a malformed
+        # reply declines with its own reason: right after an approved run,
+        # and then back to back, twice over
+        for reason, step, reply in DECLINE_CASES:
+            assert run_scripted().outcome == APPROVED
+            assert run_scripted(**{step: reply}).reason == reason
+        for _ in range(2):
+            for reason, step, reply in DECLINE_CASES:
+                assert run_scripted(**{step: reply}).reason == reason
+
+    def test_interleaved_cards_report_their_own_fields(self):
+        pan = "543011111111111"
+        pan += str(luhn_check_digit(pan))
+        other = CardProfile(pan=pan, cvc3_key=bytes(range(16)))
+        plain, _ = unlocked_card()
+        custom, _ = unlocked_card(profile=other)
+        beyond = SecureElement(
+            applets=(
+                PpseApplet(),
+                PaymentApplet(CardProfile(), aip=parse_hex("0080")),
+                WalletControlApplet(),
+                CardManagerStub(),
+            )
+        )
+        unlock_wallet(beyond)
+        cards = ((plain, CardProfile()), (custom, other), (beyond, None))
+        for seed in range(3):
+            for se, profile in cards:
+                card = DirectCardInterface(se, ChannelOrigin.INTERNAL)
+                cfg = TerminalConfig(seed=seed)
+                report = run_transaction(card, cfg, VirtualClock())
+                if profile is None:
+                    assert report.outcome == DECLINED
+                    assert report.reason == "unsupported_profile"
+                    assert report.pan is None and report.track2 is None
+                    continue
+                assert report.outcome == APPROVED
+                assert report.pan == profile.pan
+                assert report.track1 == profile.track1()
+                assert report.track2 == profile.track2()
+                assert report.atc == se.atc == seed + 1
+                assert report.cvc3_track2 == hmac.new(
+                    profile.cvc3_key,
+                    b"T2" + report.un + report.atc.to_bytes(2, "big"),
+                    hashlib.sha256,
+                ).digest()[:2]
+
+
 class TestTimeout:
     def run_with_ceiling(self, ceiling, seed=8):
         se = SecureElement()
@@ -254,6 +426,60 @@ class TestTransactionStep:
         # a step that timed out over a socket records an empty response
         step = TransactionStep("select_ppse", parse_hex("00A4040000"), b"", 500.0)
         assert step.sw is None
+
+    def test_sw_of_one_byte_reply_is_none(self):
+        step = TransactionStep("gpo", parse_hex("80A8000002830000"), b"\x90", 1.0)
+        assert step.sw is None
+
+
+class TestShortReply:
+    """A reply too short to hold a status word declines the transaction."""
+
+    @pytest.mark.parametrize("step", ["select_ppse", "gpo", "compute_cc"])
+    @pytest.mark.parametrize("reply", [b"", b"\x90"], ids=["empty", "one_byte"])
+    def test_in_process(self, step, reply):
+        report = run_scripted(**{step: reply})
+        assert (report.outcome, report.reason) == (DECLINED, "malformed_response")
+        assert report.steps[-1].name == step
+        assert report.steps[-1].rapdu == reply
+        assert report.steps[-1].sw is None
+        assert "malformed_response" in report.render_trace()
+
+    def test_one_byte_r_apdu_frame_over_a_socket(self):
+        near, far = socket.socketpair()
+        emulator = CardEmulator(SocketTransport(near))
+        peer = SocketTransport(far)
+        seen = []
+
+        def relay():
+            # echo open and close, answer the first C-APDU with one byte
+            while True:
+                frame = peer.recv_frame(timeout_ms=5000)
+                seen.append(frame.kind)
+                if frame.kind is FrameKind.C_APDU:
+                    peer.send_frame(WireFrame(FrameKind.R_APDU, b"\x90"))
+                    continue
+                peer.send_frame(frame)
+                if frame.kind is FrameKind.SESSION_CLOSE:
+                    return
+
+        thread = threading.Thread(target=relay, daemon=True)
+        thread.start()
+        try:
+            emulator.activate_field()
+            report = run_transaction(emulator, TerminalConfig(seed=1), VirtualClock())
+            emulator.deactivate_field()
+            thread.join(timeout=5)
+        finally:
+            emulator.close()
+            peer.close()
+        assert not thread.is_alive()
+        kinds = [FrameKind.SESSION_OPEN, FrameKind.C_APDU, FrameKind.SESSION_CLOSE]
+        assert seen == kinds
+        assert (report.outcome, report.reason) == (DECLINED, "malformed_response")
+        assert [(s.name, s.rapdu, s.sw) for s in report.steps] == [
+            ("select_ppse", b"\x90", None)
+        ]
 
 
 class TestReportSerialization:

@@ -156,6 +156,23 @@ class TestFind:
         templates = tlv.find_all(nodes, 0x61)
         assert len(templates) == 2
 
+    def test_illegal_bytes_tag_is_absent(self):
+        # FF announces subsequent tag bytes; a lone 9F lacks them
+        nodes = tlv.decode(_ppse_fci())
+        for tag in (b"\xff", b"\x9f"):
+            assert tlv.find(nodes, [tag]) is None
+            assert tlv.find(nodes, [b"\x6f", tag]) is None
+            assert tlv.find_all(nodes, tag) == []
+
+    def test_bytes_tags_match_like_ints(self):
+        nodes = tlv.decode(_ppse_fci())
+        path = [0x6F, 0xA5, 0xBF0C, 0x61, 0x4F]
+        expected = tlv.find(nodes, path)
+        assert tlv.find(nodes, [tag_bytes(t) for t in path]) == expected
+        assert tlv.find(nodes, [bytearray(tag_bytes(t)) for t in path]) == expected
+        assert tlv.find_all(nodes, b"\x61") == tlv.find_all(nodes, 0x61)
+        assert tlv.find_all(nodes, bytearray(b"\x61")) == tlv.find_all(nodes, 0x61)
+
 
 class TestRoundTrip:
     def test_golden_traces_round_trip(self):
