@@ -134,26 +134,32 @@ def _finish_relay(result: RelayAttackResult, out_dir: Optional[str]) -> int:
     return _finish(result.report, out_dir)
 
 
+def _secure_element(args: argparse.Namespace) -> SecureElement:
+    """The secure element that the card options describe."""
+    return SecureElement(
+        profile=_load(CardProfile, args.profile),
+        policy=_load(CountermeasurePolicy, args.policy),
+        atc=args.atc,
+    )
+
+
 def cmd_pos_direct(args: argparse.Namespace) -> int:
     report = run_pos_direct(
         origin=ChannelOrigin(args.origin),
-        profile=_load(CardProfile, args.profile),
-        policy=_load(CountermeasurePolicy, args.policy),
+        se=_secure_element(args),
         unlock=args.unlock,
         pin=args.pin,
         seed=args.seed,
         path=AccessPath(args.model) if args.model else None,
         latency_params=_load(LatencyParams, args.latency_params),
         timeout_ms=args.timeout_ms,
-        atc=args.atc,
     )
     return _finish(report, args.out)
 
 
 def cmd_relay_attack(args: argparse.Namespace) -> int:
     result = run_relay_attack(
-        profile=_load(CardProfile, args.profile),
-        policy=_load(CountermeasurePolicy, args.policy),
+        se=_secure_element(args),
         path=AccessPath(args.model),
         latency_params=_load(LatencyParams, args.latency_params),
         seed=args.seed,
@@ -161,7 +167,6 @@ def cmd_relay_attack(args: argparse.Namespace) -> int:
         relay_pin=args.pin,
         hard_ceiling_ms=args.hard_ceiling_ms,
         transport=args.transport,
-        atc=args.atc,
     )
     return _finish_relay(result, args.out)
 
@@ -213,14 +218,15 @@ def _describe_tlv(nodes, indent: int = 0) -> None:
             print(f"{pad}{tag_hex}{label} len={len(node.payload)}")
             _describe_tlv(node.children, indent + 1)
         else:
-            shown = format_hex(node.value)
-            printable = node.value.decode("ascii") if _is_printable(node.value) else None
-            extra = f" '{printable}'" if printable else ""
-            print(f"{pad}{tag_hex}{label} len={len(node.value)}: {shown}{extra}")
+            shown = format_hex(node.value) + _ascii_note(node.value)
+            print(f"{pad}{tag_hex}{label} len={len(node.value)}: {shown}")
 
 
-def _is_printable(data: bytes) -> bool:
-    return len(data) > 0 and all(0x20 <= b < 0x7F for b in data)
+def _ascii_note(data: bytes) -> str:
+    """`` 'text'`` when every byte of ``data`` is printable ASCII, else empty."""
+    if data and all(0x20 <= b < 0x7F for b in data):
+        return f" '{data.decode('ascii')}'"
+    return ""
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
@@ -237,51 +243,36 @@ def cmd_decode(args: argparse.Namespace) -> int:
             CommandApdu.parse(raw)
         except MalformedApdu:
             kind = "tlv"
-    if kind == "capdu":
-        try:
-            cmd = CommandApdu.parse(raw)
-        except MalformedApdu as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        print(
-            f"CLA={cmd.cla:02X} INS={cmd.ins:02X} P1={cmd.p1:02X} P2={cmd.p2:02X}"
-            + (f" Lc={len(cmd.data)}" if cmd.data else "")
-            + (f" Le={cmd.le:02X}" if cmd.le is not None else "")
-        )
-        if cmd.data:
-            ascii_note = (
-                f" '{cmd.data.decode('ascii')}'" if _is_printable(cmd.data) else ""
-            )
-            print(f"data: {format_hex(cmd.data)}{ascii_note}")
-            _try_describe(cmd.data)
-        return 0
-    if kind == "rapdu":
-        resp = ResponseApdu.parse(raw)
-        print(f"SW={resp.sw:04X} data ({len(resp.data)} bytes)")
-        _try_describe(resp.data)
-        return 0
     try:
-        _describe_tlv(tlv.decode(raw))
-    except tlv.TlvError as exc:
+        if kind == "tlv":
+            _describe_tlv(tlv.decode(raw))
+            return 0
+        if kind == "capdu":
+            cmd = CommandApdu.parse(raw)
+            data = cmd.data
+            print(
+                f"CLA={cmd.cla:02X} INS={cmd.ins:02X} P1={cmd.p1:02X} P2={cmd.p2:02X}"
+                + (f" Lc={len(data)}" if data else "")
+                + (f" Le={cmd.le:02X}" if cmd.le is not None else "")
+            )
+            if data:
+                print(f"data: {format_hex(data)}{_ascii_note(data)}")
+        else:
+            resp = ResponseApdu.parse(raw)
+            data = resp.data
+            print(f"SW={resp.sw:04X} data ({len(data)} bytes)")
+    except (MalformedApdu, tlv.TlvError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    try:  # an APDU's data is shown as TLV where it parses as TLV
+        _describe_tlv(tlv.decode(data), indent=1)
+    except tlv.TlvError:
+        pass
     return 0
 
 
-def _try_describe(data: bytes) -> None:
-    try:
-        nodes = tlv.decode(data)
-    except tlv.TlvError:
-        return
-    _describe_tlv(nodes, indent=1)
-
-
 def cmd_se_host(args: argparse.Namespace) -> int:
-    se = SecureElement(
-        profile=_load(CardProfile, args.profile),
-        policy=_load(CountermeasurePolicy, args.policy),
-        atc=args.atc,
-    )
+    se = _secure_element(args)
     host, _port = args.listen
     listener = socket.create_server(args.listen, backlog=1)
     print(f"secure element listening on {host}:{listener.getsockname()[1]}")
@@ -311,18 +302,18 @@ def _connect_with_retry(host: str, port: int, timeout_s: float = 10.0) -> socket
 
 
 def cmd_relay_app(args: argparse.Namespace) -> int:
+    seed = resolve_seed(args.seed)
+    model = LatencyModel(
+        AccessPath(args.model), seed, _load(LatencyParams, args.latency_params)
+    )
     if args.se == "inproc":
-        se = SecureElement(
-            profile=_load(CardProfile, args.profile),
-            policy=_load(CountermeasurePolicy, args.policy),
-        )
+        se = _secure_element(args)
     else:
         host, port = _host_port(args.se)
         se = RemoteSecureElement(SocketTransport(_connect_with_retry(host, port)))
-    seed = resolve_seed(args.seed)
     relay = RelayApp(
         se,
-        model=LatencyModel(AccessPath(args.model), seed),
+        model=model,
         pin=args.pin,
         hard_ceiling_ms=args.hard_ceiling_ms,
     )
@@ -360,19 +351,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
+    paths = [path.value for path in AccessPath]
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    # option groups shared between roles; each shared flag is declared only here
+    def card(p: argparse.ArgumentParser) -> None:
         p.add_argument("--profile", help="card profile JSON file")
         p.add_argument("--policy", help="countermeasure policy JSON file")
-        p.add_argument("--seed", type=int, help="seed for all randomness")
-        p.add_argument("--out", help="directory for report files")
         p.add_argument("--atc", type=int, default=0, help="initial transaction counter")
+
+    def delays(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--latency-params", help="JSON file overriding delay distribution knobs"
         )
 
-    p = sub.add_parser("pos-direct", help="terminal against the in-process SE")
-    add_common(p)
+    def seed(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--seed", type=int, help="seed for all randomness")
+
+    def terminal(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--out", help="directory for report files")
+        p.add_argument("--timeout-ms", type=_positive_float)
+
+    def relay(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--model", choices=paths, default=AccessPath.RELAY_WIFI.value)
+        p.add_argument("--pin", help="wallet PIN known to the relay app, if any")
+        p.add_argument("--hard-ceiling-ms", type=_positive_float)
+
+    def role(name: str, func, summary: str, *groups) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        for group in groups:
+            group(p)
+        p.set_defaults(func=func)
+        return p
+
+    p = role(
+        "pos-direct", cmd_pos_direct, "terminal against the in-process SE",
+        card, delays, seed, terminal,
+    )
     p.add_argument(
         "--origin",
         choices=[o.value for o in ChannelOrigin],
@@ -384,19 +398,12 @@ def build_parser() -> argparse.ArgumentParser:
     unlock.add_argument("--no-unlock", dest="unlock", action="store_false")
     p.add_argument("--pin", help="wallet PIN for the on-card verification step")
     p.add_argument(
-        "--model",
-        choices=[path.value for path in AccessPath],
-        help="latency model (default: matches the origin)",
+        "--model", choices=paths, help="latency model (default: matches the origin)"
     )
-    p.add_argument("--timeout-ms", type=_positive_float)
-    p.set_defaults(func=cmd_pos_direct)
 
-    p = sub.add_parser("relay-attack", help="terminal / emulator / relay app chain")
-    add_common(p)
-    p.add_argument(
-        "--model",
-        choices=[path.value for path in AccessPath],
-        default=AccessPath.RELAY_WIFI.value,
+    p = role(
+        "relay-attack", cmd_relay_attack, "terminal / emulator / relay app chain",
+        card, delays, seed, terminal, relay,
     )
     p.add_argument(
         "--transport",
@@ -404,17 +411,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="inproc",
         help="inproc = virtual clock, tcp = loopback sockets with real delays",
     )
-    p.add_argument("--timeout-ms", type=_positive_float)
-    p.add_argument("--pin", help="wallet PIN known to the relay app, if any")
-    p.add_argument("--hard-ceiling-ms", type=_positive_float)
-    p.set_defaults(func=cmd_relay_attack)
 
-    p = sub.add_parser("bench", help="delay benchmark with histogram export")
-    p.add_argument(
-        "--path",
-        choices=[path.value for path in AccessPath] + ["all"],
-        default="all",
-    )
+    p = role("bench", cmd_bench, "delay benchmark with histogram export", delays)
+    p.add_argument("--path", choices=paths + ["all"], default="all")
     p.add_argument("--reps", type=_positive_int, default=5000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bin-width", type=_positive_float, default=50.0)
@@ -422,51 +421,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ascii", action="store_true", help="print bar charts")
     p.add_argument("--out", help="directory for per-path CSV files")
     p.add_argument(
-        "--latency-params", help="JSON file overriding delay distribution knobs"
-    )
-    p.add_argument(
         "--include-compute",
         action="store_true",
         help="add measured host compute time to each binned delay",
     )
-    p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("decode", help="pretty-print hex APDUs or TLV")
+    p = role("decode", cmd_decode, "pretty-print hex APDUs or TLV")
     p.add_argument("hex", nargs="?", help="hex string (stdin when omitted)")
     p.add_argument(
         "--kind", choices=["auto", "capdu", "rapdu", "tlv"], default="auto"
     )
-    p.set_defaults(func=cmd_decode)
 
-    p = sub.add_parser("se-host", help="serve a secure element over TCP")
+    p = role("se-host", cmd_se_host, "serve a secure element over TCP", card)
     p.add_argument("--listen", type=_host_port, default=("127.0.0.1", 9750))
-    p.add_argument("--profile")
-    p.add_argument("--policy")
-    p.add_argument("--atc", type=int, default=0)
     p.add_argument("--once", action="store_true", help="exit after one connection")
-    p.set_defaults(func=cmd_se_host)
 
-    p = sub.add_parser("relay-app", help="phone-side relay endpoint")
-    p.add_argument("--connect", type=_host_port, required=True, help="emulator address")
-    p.add_argument("--se", default="inproc", help="'inproc' or HOST:PORT of se-host")
-    p.add_argument("--profile")
-    p.add_argument("--policy")
-    p.add_argument(
-        "--model",
-        choices=[path.value for path in AccessPath],
-        default=AccessPath.RELAY_WIFI.value,
+    p = role(
+        "relay-app", cmd_relay_app, "phone-side relay endpoint",
+        card, delays, seed, relay,
     )
-    p.add_argument("--pin")
-    p.add_argument("--hard-ceiling-ms", type=_positive_float)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_relay_app)
+    p.add_argument("--connect", type=_host_port, required=True, help="emulator address")
+    p.add_argument(
+        "--se",
+        default="inproc",
+        help="'inproc' or HOST:PORT of se-host; the card options apply to inproc",
+    )
 
-    p = sub.add_parser("emulator", help="card emulator + terminal endpoint")
+    p = role(
+        "emulator", cmd_emulator, "card emulator + terminal endpoint", seed, terminal
+    )
     p.add_argument("--listen", type=_host_port, default=("127.0.0.1", 9751))
-    p.add_argument("--timeout-ms", type=_positive_float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_emulator)
 
     return parser
 

@@ -42,6 +42,8 @@ logger = logging.getLogger(__name__)
 
 FRAME_HEADER_LEN = 3
 MAX_PAYLOAD_LEN = 0xFFFF
+# how long a session client waits for the SESSION_CLOSE echo of a silent peer
+CLOSE_ACK_TIMEOUT_MS = 1000.0
 
 
 class FrameKind(IntEnum):
@@ -363,21 +365,19 @@ class RelayApp(SessionEndpoint):
         clock=None,
         pin: Optional[str] = None,
         hard_ceiling_ms: Optional[float] = None,
-        payment_aid: bytes = PREPAID_AID,
     ):
         super().__init__(se)
         self.model = model
         self.clock = clock if clock is not None else WallClock()
         self.pin = pin
         self.hard_ceiling_ms = hard_ceiling_ms
-        self.payment_aid = payment_aid
 
     def _open(self) -> Optional[WireFrame]:
         failure = unlock_wallet(self.se, self.pin)
         if failure is not None:
             return failure
         # probe that the payment applet is actually reachable on this channel
-        probe = self.se.process(ChannelOrigin.INTERNAL, select_command(self.payment_aid))
+        probe = self.se.process(ChannelOrigin.INTERNAL, select_command(PREPAID_AID))
         if not probe.is_success:
             return error_frame(ErrorReason.ACCESS_DENIED, "payment applet")
         return None
@@ -464,7 +464,7 @@ class SessionClient:
         self.session_open = False
         try:
             self.transport.send_frame(WireFrame(FrameKind.SESSION_CLOSE))
-            self.transport.recv_frame()
+            self.transport.recv_frame(timeout_ms=CLOSE_ACK_TIMEOUT_MS)
         except (TransportClosed, RelayProtocolError, ExchangeTimeout):
             pass
 

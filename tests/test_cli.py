@@ -236,6 +236,12 @@ class TestDecode:
         rc = main(["decode", "ZZZ"])
         assert rc == 2
 
+    @pytest.mark.parametrize("kind", ["capdu", "rapdu"])
+    def test_short_frame_is_error(self, kind, capsys):
+        rc = main(["decode", "--kind", kind, "90"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_stdin_input(self, capsys, monkeypatch):
         import io
 

@@ -250,6 +250,30 @@ class TestTcpTransport:
             transport.close()
             far.close()
 
+    def test_unanswered_close_does_not_block(self):
+        near, far = socket.socketpair()
+        peer = SocketTransport(far)
+        emulator = CardEmulator(SocketTransport(near))
+
+        def silent_peer():
+            peer.recv_frame()  # SESSION_OPEN
+            peer.send_frame(WireFrame(FrameKind.SESSION_OPEN))
+            peer.recv_frame()  # SESSION_CLOSE, never acknowledged
+
+        peer_thread = threading.Thread(target=silent_peer, daemon=True)
+        peer_thread.start()
+        try:
+            emulator.activate_field()
+            closer = threading.Thread(target=emulator.deactivate_field, daemon=True)
+            closer.start()
+            closer.join(timeout=3)
+            assert not closer.is_alive()
+            assert not emulator.session_open
+        finally:
+            emulator.close()
+            peer.close()
+            peer_thread.join(timeout=5)
+
     def test_abrupt_socket_loss_locks_wallet(self):
         se = SecureElement()
         listener = socket.socket()
