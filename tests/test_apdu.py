@@ -19,6 +19,17 @@ from serelay.apdu import (
 )
 from serelay.hexutil import parse_hex
 
+# every one-octet field, each built with the others at valid values
+OCTET_FIELDS = {
+    "cla": lambda v: CommandApdu(v, 0, 0, 0),
+    "ins": lambda v: CommandApdu(0, v, 0, 0),
+    "p1": lambda v: CommandApdu(0, 0, v, 0),
+    "p2": lambda v: CommandApdu(0, 0, 0, v),
+    "le": lambda v: CommandApdu(0, 0, 0, 0, le=v),
+    "sw1": lambda v: ResponseApdu(b"", v, 0),
+    "sw2": lambda v: ResponseApdu(b"", 0x90, v),
+}
+
 
 class TestParseCommand:
     def test_select_ppse_trace(self):
@@ -97,6 +108,18 @@ class TestSerializeCommand:
             CommandApdu(0x100, 0, 0, 0)
         with pytest.raises(ValueError):
             CommandApdu(0, 0, 0, 0, le=256)
+
+    @pytest.mark.parametrize("value", [-1, 256])
+    @pytest.mark.parametrize("field", [*OCTET_FIELDS])
+    def test_octet_field_out_of_range(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be a single octet"):
+            OCTET_FIELDS[field](value)
+
+    @pytest.mark.parametrize("value", [0, 255])
+    @pytest.mark.parametrize("field", [*OCTET_FIELDS])
+    def test_octet_field_bounds_accepted(self, field, value):
+        apdu = OCTET_FIELDS[field](value)
+        assert getattr(apdu, field) == value
 
 
 class TestParseResponse:

@@ -1,7 +1,9 @@
+import itertools
 from dataclasses import replace
 
 import pytest
 
+from serelay import bench
 from serelay.apdu import CommandApdu
 from serelay.bench import (
     BENCH_SELECT_APDU,
@@ -150,6 +152,31 @@ class TestRunBenchmark:
         )
         hist = run_benchmark(spec)
         assert hist.total == 200
+
+    def test_compute_time_adds_exactly_the_clock(self, monkeypatch):
+        # a clock that steps 1 ms per read: each exchange then "costs" 1 ms
+        ticks = itertools.count()
+        monkeypatch.setattr(bench.time, "perf_counter", lambda: next(ticks) / 1000.0)
+        spec = BenchmarkSpec(
+            path=AccessPath.DIRECT_EXTERNAL,
+            repetitions=300,
+            seed=4,
+            bin_width_ms=1.0,
+            bin_count=200,
+        )
+        plain_hist, plain_delays = sample_benchmark(spec)
+        timed_hist, timed_delays = sample_benchmark(replace(spec, include_compute_time=True))
+
+        def binned(delays):
+            hist = Histogram(bin_width_ms=1.0, bin_count=200)
+            for delay in delays:
+                hist.add(delay)
+            return hist
+
+        assert timed_delays == plain_delays
+        assert plain_hist == binned(plain_delays)
+        assert timed_hist == binned(d + 1.0 for d in plain_delays)
+        assert timed_hist != plain_hist
 
     def test_internet_majority_above_one_second(self):
         spec = BenchmarkSpec(path=AccessPath.RELAY_INTERNET, repetitions=1000, seed=3)

@@ -25,7 +25,7 @@ from genutil import (
     UNLOCK_C,
 )
 from serelay import tlv
-from serelay.apdu import CommandApdu
+from serelay.apdu import CommandApdu, ResponseApdu
 from serelay.hexutil import format_hex, parse_hex
 from serelay.profile import CardProfile, CountermeasurePolicy, luhn_check_digit
 from serelay.secure_element import (
@@ -700,9 +700,9 @@ def configured_se(config) -> SecureElement:
     return unlocked_se(profile=config["profile"], applets=applets)
 
 
-def static_responses(config) -> dict[str, bytes]:
-    """Data of every static response, from a freshly built SE."""
-    se = configured_se(config)
+def static_replies(se: SecureElement, config) -> dict[str, ResponseApdu]:
+    """Every static response of an unlocked ``se``, asked for in one round."""
+    assert send(se, INTERNAL, SELECT_WALLET_C).is_success
     out = {
         "list_cards": send(se, INTERNAL, LIST_CARDS_C),
         "status": send(se, INTERNAL, GET_STATUS_C),
@@ -713,6 +713,12 @@ def static_responses(config) -> dict[str, bytes]:
     out["payment_fci"] = select(se, CONTACTLESS, config["aid"])
     out["gpo"] = send(se, CONTACTLESS, GPO_C)
     out["record"] = send(se, CONTACTLESS, READ_RECORD_C)
+    return out
+
+
+def static_responses(config) -> dict[str, bytes]:
+    """Data of every static response, from a freshly built SE."""
+    out = static_replies(configured_se(config), config)
     for name, resp in out.items():
         assert resp.is_success, name
     return {name: resp.data for name, resp in out.items()}
@@ -736,6 +742,25 @@ class TestMemoizedResponses:
         # twice: the first SE may fill the memo, the second reads it back
         for _ in range(2):
             assert static_responses(config) == fresh_responses(config)
+
+    @pytest.mark.parametrize("config", [DEFAULT_CONFIG, CUSTOM_CONFIG], ids=["default", "custom"])
+    def test_repeated_replies_equal_fresh_frames(self, config):
+        expected = {name: data + b"\x90\x00" for name, data in fresh_responses(config).items()}
+        for se in (configured_se(config), configured_se(config)):
+            for _ in range(2):
+                frames = {name: r.to_bytes() for name, r in static_replies(se, config).items()}
+                assert frames == expected
+
+    def test_locked_wallet_refuses_after_serving_fci(self):
+        se = unlocked_se()
+        se.open_session(CONTACTLESS)
+        assert send(se, CONTACTLESS, SELECT_AID_C).to_bytes() == parse_hex(SELECT_AID_R)
+        assert send(se, INTERNAL, LOCK_C).is_success
+        refused = send(se, CONTACTLESS, SELECT_AID_C)
+        assert (refused.data, refused.sw) == (b"", 0x6985)
+        assert se.selected[CONTACTLESS] is None
+        assert send(se, INTERNAL, UNLOCK_C).is_success
+        assert send(se, CONTACTLESS, SELECT_AID_C).to_bytes() == parse_hex(SELECT_AID_R)
 
     def test_configurations_do_not_share_responses(self):
         # interleaved, so a memo keyed too coarsely would leak one into the other
