@@ -99,6 +99,11 @@ def _host_port(text: str) -> tuple[str, int]:
     return host, int(port)
 
 
+def _se_address(text: str):
+    """``'inproc'`` or the HOST:PORT of an se-host."""
+    return text if text == "inproc" else _host_port(text)
+
+
 def _load(config_type, path: Optional[str]):
     """The config file at ``path`` (a :class:`JsonConfig`), or ``None``."""
     return config_type.load(path) if path else None
@@ -309,8 +314,7 @@ def cmd_relay_app(args: argparse.Namespace) -> int:
     if args.se == "inproc":
         se = _secure_element(args)
     else:
-        host, port = _host_port(args.se)
-        se = RemoteSecureElement(SocketTransport(_connect_with_retry(host, port)))
+        se = RemoteSecureElement(SocketTransport(_connect_with_retry(*args.se)))
     relay = RelayApp(
         se,
         model=model,
@@ -443,6 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--connect", type=_host_port, required=True, help="emulator address")
     p.add_argument(
         "--se",
+        type=_se_address,
         default="inproc",
         help="'inproc' or HOST:PORT of se-host; the card options apply to inproc",
     )

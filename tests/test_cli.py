@@ -327,3 +327,11 @@ class TestConfigFileChecks:
             main(["relay-attack", "--seed", "7", flag, str(path)])
         assert exc_info.value.code == 2
         assert f"error: {path}: {message}\n" in capsys.readouterr().err
+
+
+class TestRelayApp:
+    def test_bad_se_address_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["relay-app", "--connect", "127.0.0.1:1", "--se", "bogus"])
+        assert exc_info.value.code == 2
+        assert "argument --se: 'bogus' is not HOST:PORT" in capsys.readouterr().err
