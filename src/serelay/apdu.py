@@ -41,10 +41,17 @@ class CommandApdu:
     le: int | None = None
 
     def __post_init__(self) -> None:
-        for name in ("cla", "ins", "p1", "p2"):
-            _check_octet(name, getattr(self, name))
-        if self.le is not None:
-            _check_octet("le", self.le)
+        le = self.le
+        if not (
+            0 <= self.cla <= 0xFF
+            and 0 <= self.ins <= 0xFF
+            and 0 <= self.p1 <= 0xFF
+            and 0 <= self.p2 <= 0xFF
+            and (le is None or 0 <= le <= 0xFF)
+        ):
+            for name in ("cla", "ins", "p1", "p2"):
+                _check_octet(name, getattr(self, name))
+            _check_octet("le", le)
         if not isinstance(self.data, bytes):
             object.__setattr__(self, "data", bytes(self.data))
 
@@ -106,8 +113,9 @@ class ResponseApdu:
     sw2: int
 
     def __post_init__(self) -> None:
-        _check_octet("sw1", self.sw1)
-        _check_octet("sw2", self.sw2)
+        if not (0 <= self.sw1 <= 0xFF and 0 <= self.sw2 <= 0xFF):
+            _check_octet("sw1", self.sw1)
+            _check_octet("sw2", self.sw2)
         if not isinstance(self.data, bytes):
             object.__setattr__(self, "data", bytes(self.data))
 
@@ -117,7 +125,7 @@ class ResponseApdu:
 
     @property
     def is_success(self) -> bool:
-        return self.sw == 0x9000
+        return self.sw1 == 0x90 and self.sw2 == 0x00
 
     @classmethod
     def from_sw(cls, sw: int, data: bytes = b"") -> "ResponseApdu":

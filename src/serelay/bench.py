@@ -199,17 +199,18 @@ def _sample_index_major(
     for index in range(first.repetitions):
         delays = sample_paths_at(paths, first.seed, index, params)
         for s, se, origin, hist, modelled in runs:
-            started = time.perf_counter()
-            resp = se.process(origin, cmd)
-            compute_ms = (time.perf_counter() - started) * 1000.0
+            delay = delays[s.path]
+            modelled.append(delay)
+            if s.include_compute_time:
+                started = time.perf_counter()
+                resp = se.process(origin, cmd)
+                delay += (time.perf_counter() - started) * 1000.0
+            else:
+                resp = se.process(origin, cmd)
             if not resp.is_success:
                 raise BenchmarkError(
                     f"path {s.path.value} unavailable: workload answered {resp.sw:04X}"
                 )
-            delay = delays[s.path]
-            modelled.append(delay)
-            if s.include_compute_time:
-                delay += compute_ms
             hist.add(delay)
     for _s, se, origin, *_ in runs:
         se.close_session(origin)

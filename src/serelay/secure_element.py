@@ -103,19 +103,23 @@ def compute_cvc3(key: bytes, track_label: bytes, un: bytes, atc: int) -> bytes:
     return hmac.new(key, msg, hashlib.sha256).digest()[:2]
 
 
-def status(sw: int, data: bytes = b"") -> ResponseApdu:
-    return ResponseApdu.from_sw(sw, data)
-
-
-# Every response except COMPUTE CC is a pure function of frozen applet
-# configuration, so each is encoded once per distinct configuration. A new
-# SecureElement is built for every run, hence module-level memos; they are
-# bounded because callers may construct arbitrarily many configurations.
+# Every response except COMPUTE CC is a pure function of its status word or
+# of frozen applet configuration, so each is built once and the same frozen
+# ResponseApdu answers every later call. A new SecureElement is built for
+# every run, hence module-level memos; they are bounded because callers may
+# construct arbitrarily many configurations.
 _RESPONSE_MEMO_SIZE = 32
+
+_bare_status = functools.lru_cache(maxsize=_RESPONSE_MEMO_SIZE)(ResponseApdu.from_sw)
+
+
+def status(sw: int, data: bytes = b"") -> ResponseApdu:
+    """The response ``data || sw``; one shared object when there is no data."""
+    return ResponseApdu.from_sw(sw, data) if data else _bare_status(sw)
 
 
 @functools.lru_cache(maxsize=_RESPONSE_MEMO_SIZE)
-def _ppse_fci(entries: tuple[tuple[bytes, int], ...]) -> bytes:
+def _ppse_fci(entries: tuple[tuple[bytes, int], ...]) -> ResponseApdu:
     templates = [
         TlvNode.constructed(
             0x61,
@@ -133,11 +137,11 @@ def _ppse_fci(entries: tuple[tuple[bytes, int], ...]) -> bytes:
             TlvNode.constructed(0xA5, [TlvNode.constructed(0xBF0C, templates)]),
         ],
     )
-    return node.encode()
+    return status(SW_SUCCESS, node.encode())
 
 
 @functools.lru_cache(maxsize=_RESPONSE_MEMO_SIZE)
-def _payment_fci(aid: bytes, label: str) -> bytes:
+def _payment_fci(aid: bytes, label: str) -> ResponseApdu:
     node = TlvNode.constructed(
         0x6F,
         [
@@ -145,19 +149,19 @@ def _payment_fci(aid: bytes, label: str) -> bytes:
             TlvNode.constructed(0xA5, [TlvNode.primitive(0x50, label.encode("ascii"))]),
         ],
     )
-    return node.encode()
+    return status(SW_SUCCESS, node.encode())
 
 
 @functools.lru_cache(maxsize=_RESPONSE_MEMO_SIZE)
-def _gpo_body(aip: bytes, afl: bytes) -> bytes:
+def _gpo_body(aip: bytes, afl: bytes) -> ResponseApdu:
     node = TlvNode.constructed(
         0x77, [TlvNode.primitive(0x82, aip), TlvNode.primitive(0x94, afl)]
     )
-    return node.encode()
+    return status(SW_SUCCESS, node.encode())
 
 
 @functools.lru_cache(maxsize=_RESPONSE_MEMO_SIZE)
-def _mag_stripe_record(p: CardProfile) -> bytes:
+def _mag_stripe_record(p: CardProfile) -> ResponseApdu:
     node = TlvNode.constructed(
         0x70,
         [
@@ -172,22 +176,25 @@ def _mag_stripe_record(p: CardProfile) -> bytes:
             TlvNode.primitive(0x9F67, bytes((p.track2_atc_digits,))),
         ],
     )
-    return node.encode()
+    return status(SW_SUCCESS, node.encode())
 
 
-CARD_LIST_PAYLOAD = TlvNode.constructed(
-    0xA5, [TlvNode.primitive(0x4F, PREPAID_AID)]
-).encode()
-STATUS_PAYLOAD = TlvNode.constructed(
-    0xE3, [TlvNode.primitive(0x4F, PREPAID_AID)]
-).encode()
-CARD_MANAGER_RESPONSE = TlvNode.constructed(
-    0x6F,
-    [
-        TlvNode.primitive(0x84, ISD_AID),
-        TlvNode.constructed(0xA5, [TlvNode.primitive(0xC0, bytes(87))]),
-    ],
-).encode()
+CARD_LIST_REPLY = status(
+    SW_SUCCESS, TlvNode.constructed(0xA5, [TlvNode.primitive(0x4F, PREPAID_AID)]).encode()
+)
+STATUS_REPLY = status(
+    SW_SUCCESS, TlvNode.constructed(0xE3, [TlvNode.primitive(0x4F, PREPAID_AID)]).encode()
+)
+CARD_MANAGER_REPLY = status(
+    SW_SUCCESS,
+    TlvNode.constructed(
+        0x6F,
+        [
+            TlvNode.primitive(0x84, ISD_AID),
+            TlvNode.constructed(0xA5, [TlvNode.primitive(0xC0, bytes(87))]),
+        ],
+    ).encode(),
+)
 
 
 class Applet:
@@ -221,11 +228,8 @@ class PpseApplet(Applet):
             else ((PREPAID_AID, 1), (MASTERCARD_AID, 2))
         )
 
-    def fci(self) -> bytes:
-        return _ppse_fci(self.entries)
-
     def select(self, se: "SecureElement", origin: ChannelOrigin) -> ResponseApdu:
-        return status(SW_SUCCESS, self.fci())
+        return _ppse_fci(self.entries)
 
 
 class PaymentApplet(Applet):
@@ -245,16 +249,10 @@ class PaymentApplet(Applet):
         self.aip = bytes(aip)
         self.afl = bytes(afl)
 
-    def fci(self) -> bytes:
-        return _payment_fci(self.aid, self.label)
-
-    def record(self) -> bytes:
-        return _mag_stripe_record(self.profile)
-
     def select(self, se: "SecureElement", origin: ChannelOrigin) -> ResponseApdu:
         if se.wallet_locked:
             return status(SW_CONDITIONS_NOT_SATISFIED)
-        return status(SW_SUCCESS, self.fci())
+        return _payment_fci(self.aid, self.label)
 
     def process(
         self, se: "SecureElement", origin: ChannelOrigin, cmd: CommandApdu
@@ -262,12 +260,12 @@ class PaymentApplet(Applet):
         if cmd.cla == 0x80 and cmd.ins == INS_GPO and (cmd.p1, cmd.p2) == (0, 0):
             if cmd.data != GPO_COMMAND.data:
                 return status(SW_WRONG_DATA)
-            return status(SW_SUCCESS, _gpo_body(self.aip, self.afl))
+            return _gpo_body(self.aip, self.afl)
         if cmd.cla == 0x00 and cmd.ins == INS_READ_RECORD:
             # single data file: SFI 1, record 1
             if (cmd.p1, cmd.p2) != (0x01, 0x0C):
                 return status(SW_RECORD_NOT_FOUND)
-            return status(SW_SUCCESS, self.record())
+            return _mag_stripe_record(self.profile)
         if cmd.cla == 0x80 and cmd.ins == INS_COMPUTE_CC and (cmd.p1, cmd.p2) == (0x8E, 0x80):
             if len(cmd.data) != 4:
                 return status(SW_WRONG_LENGTH)
@@ -316,9 +314,9 @@ class WalletControlApplet(Applet):
                 return self._lock(se)
             return status(SW_INS_NOT_SUPPORTED)
         if cmd.ins == INS_GET_DATA and (cmd.p1, cmd.p2) == (0x00, 0xA5):
-            return status(SW_SUCCESS, CARD_LIST_PAYLOAD)
+            return CARD_LIST_REPLY
         if cmd.ins == INS_GET_STATUS and (cmd.p1, cmd.p2) == (0x40, 0x00):
-            return status(SW_SUCCESS, STATUS_PAYLOAD)
+            return STATUS_REPLY
         if cmd.ins == INS_CARD_TOGGLE and cmd.p2 == 0x01 and cmd.p1 in (0x01, 0x02):
             return self._toggle_card(se, enable=(cmd.p1 == 0x02), data=cmd.data)
         return status(SW_INS_NOT_SUPPORTED)
@@ -378,7 +376,7 @@ class CardManagerStub(Applet):
         super().__init__([ISD_AID, ISD_PREFIX_AID])
 
     def select(self, se: "SecureElement", origin: ChannelOrigin) -> ResponseApdu:
-        return status(SW_SUCCESS, CARD_MANAGER_RESPONSE)
+        return CARD_MANAGER_REPLY
 
 
 class SecureElement:
