@@ -99,7 +99,7 @@ def _host_port(text: str) -> tuple[str, int]:
     return host, int(port)
 
 
-def _se_address(text: str):
+def _se_address(text: str) -> str | tuple[str, int]:
     """``'inproc'`` or the HOST:PORT of an se-host."""
     return text if text == "inproc" else _host_port(text)
 
