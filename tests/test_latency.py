@@ -137,6 +137,19 @@ def stdlib_reference(path: AccessPath, seed: int, index: int, p: LatencyParams) 
     return base + overhead
 
 
+def sample_grid_digest() -> str:
+    """sha256 over every 7th delay of each path, seed and parameter set."""
+    digest = hashlib.sha256()
+    for name, params in PARAM_SETS.items():
+        for seed in IDENTITY_SEEDS:
+            for path in AccessPath:
+                m = LatencyModel(path, seed, params)
+                for k in range(0, 3000, 7):
+                    digest.update(f"{name} {seed} {path.value} {k} "
+                                  f"{m.sample_at(k).hex()}\n".encode())
+    return digest.hexdigest()
+
+
 class TestBitIdentity:
     """Seeded delays stay bit-identical to the stdlib draws they were defined by."""
 
@@ -165,12 +178,4 @@ class TestBitIdentity:
 
     def test_sample_grid_digest(self):
         # captured before the paths shared one generator per index
-        digest = hashlib.sha256()
-        for name, params in PARAM_SETS.items():
-            for seed in IDENTITY_SEEDS:
-                for path in AccessPath:
-                    m = LatencyModel(path, seed, params)
-                    for k in range(0, 3000, 7):
-                        digest.update(f"{name} {seed} {path.value} {k} "
-                                      f"{m.sample_at(k).hex()}\n".encode())
-        assert digest.hexdigest() == GRID_DIGEST
+        assert sample_grid_digest() == GRID_DIGEST

@@ -72,7 +72,8 @@ def grid_records():
         }
 
 
-def test_report_identity_digest():
+def report_digest() -> tuple[str, int, Counter]:
+    """The grid's sha256, its run count and how often each outcome occurred."""
     digest = hashlib.sha256()
     runs = 0
     outcomes = Counter()
@@ -81,6 +82,11 @@ def test_report_identity_digest():
         runs += 1
         report = record["report"]
         outcomes[report["outcome"] if report is not None else record["session_error"]] += 1
+    return digest.hexdigest(), runs, outcomes
+
+
+def test_report_identity_digest():
+    digest, runs, outcomes = report_digest()
     # the grid must reach every outcome, or an identical digest proves little
     assert set(outcomes) == {
         "approved",
@@ -91,4 +97,4 @@ def test_report_identity_digest():
         "access_denied",
     }, outcomes
     assert runs == GOLDEN_RUNS
-    assert digest.hexdigest() == GOLDEN_DIGEST
+    assert digest == GOLDEN_DIGEST
