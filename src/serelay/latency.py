@@ -9,22 +9,24 @@ in practice (external ~30 ms, internal 50-80 ms, WiFi adding 100-210 ms,
 internet adding at least 150 ms with more than half of all round trips
 above one second); they are models for experimentation, not measurements.
 
-Each sample index has one sub-seeded generator, shared by all four paths:
-every path reads its first two uniform draws, and only the internet path
-draws more. The first draw is the internal-access component, so models built
-from the same seed pair up sample-by-sample by construction:
+Each sample index's draws are counter-based: one BLAKE2b digest of
+``f"{seed}:{index}"`` is read as four little-endian 64-bit words, and the
+top 53 bits of word ``i`` give the uniform ``u_i`` in [0, 1). All four paths
+share them: ``u0`` is the internal-access component, so models built from
+the same seed pair up sample-by-sample by construction:
 ``wifi.sample_at(k) - internal.sample_at(k)`` is exactly the WiFi overhead
-drawn for index ``k``. :func:`sample_paths_at` gives several paths' delays
-at an index from one generator; each equals what the path's own generator
-would give through ``random.gauss``, ``random.uniform``, ``random.random``
-and ``random.lognormvariate``.
+drawn for index ``k`` from ``u1``. The external path is a Box-Muller normal
+on ``u0, u1``; the internet path picks its branch by ``u1`` and draws its
+log-normal through a Box-Muller normal on ``u2, u3``. No generator state is
+kept, so a delay is a pure function of seed, index and parameters.
 """
 from __future__ import annotations
 
+import hashlib
 import math
-import random
+import struct
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Iterable, Optional
 
@@ -56,42 +58,70 @@ class LatencyParams(JsonConfig):
     internet_heavy_median: float = 400.0
     internet_heavy_sigma: float = 0.8
 
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
+            if f.name.endswith(("_median", "_mode")):
+                if value <= 0:
+                    raise ValueError(f"{f.name} must be > 0, got {value!r}")
+            elif value < 0:
+                raise ValueError(f"{f.name} must be >= 0, got {value!r}")
+        for low, high in (("internal_low", "internal_high"),
+                          ("wifi_overhead_low", "wifi_overhead_high")):
+            if getattr(self, low) > getattr(self, high):
+                raise ValueError(
+                    f"{low} must be <= {high}, got {getattr(self, low)!r} > {getattr(self, high)!r}"
+                )
+        if self.internet_heavy_weight > 1:
+            raise ValueError(
+                f"internet_heavy_weight must be <= 1, got {self.internet_heavy_weight!r}"
+            )
+
+
+_DEFAULT_PARAMS = LatencyParams()
+_WORDS = struct.Struct("<4Q").unpack
+_UNIT = 2.0**-53
+# enum class attributes resolve slowly; the per-path branch compares against these
+_EXTERNAL, _INTERNAL, _WIFI = (
+    AccessPath.DIRECT_EXTERNAL, AccessPath.DIRECT_INTERNAL, AccessPath.RELAY_WIFI
+)
+
+
+def _normal(ua: float, ub: float) -> float:
+    """Box-Muller standard normal from two uniforms in [0, 1)."""
+    return math.cos(ua * math.tau) * math.sqrt(-2.0 * math.log(1.0 - ub))
+
 
 def sample_paths_at(
     paths: Iterable[AccessPath], seed: int, index: int, params: LatencyParams
 ) -> dict[AccessPath, float]:
-    """The delay at ``index`` of each of ``paths``, all from the index's one generator.
-
-    The paths must be distinct: a repeated internet path would draw again.
-    """
-    r = random.Random(f"{seed}:{index}")
-    u0 = r.random()
-    u1 = r.random()
+    """The delay at ``index`` of each of ``paths``, all from the index's one digest."""
+    words = _WORDS(hashlib.blake2b(f"{seed}:{index}".encode(), digest_size=32).digest())
+    u0 = (words[0] >> 11) * _UNIT
+    u1 = (words[1] >> 11) * _UNIT
     p = params
-    # random.uniform's formula on the first draw
     base = p.internal_low + (p.internal_high - p.internal_low) * u0
     delays = {}
     for path in paths:
-        if path is AccessPath.DIRECT_EXTERNAL:
-            # random.gauss's Box-Muller step on the first two draws
-            z = math.cos(u0 * math.tau) * math.sqrt(-2.0 * math.log(1.0 - u1))
-            delays[path] = max(0.0, p.external_mean + z * p.external_sd)
-        elif path is AccessPath.DIRECT_INTERNAL:
+        if path is _EXTERNAL:
+            delays[path] = max(0.0, p.external_mean + _normal(u0, u1) * p.external_sd)
+        elif path is _INTERNAL:
             delays[path] = base
-        elif path is AccessPath.RELAY_WIFI:
+        elif path is _WIFI:
             spread = p.wifi_overhead_high - p.wifi_overhead_low
             delays[path] = base + (p.wifi_overhead_low + spread * u1)
         else:
             # internet: floored fast component mixed with a heavy (>=1 s) one,
-            # chosen by the second draw; the log-normal draws come after it
+            # chosen by u1; the log-normal's normal comes from u2 and u3
+            z = _normal((words[2] >> 11) * _UNIT, (words[3] >> 11) * _UNIT)
             if u1 < p.internet_heavy_weight:
                 mu = math.log(p.internet_heavy_median)
-                overhead = p.internet_heavy_floor + r.lognormvariate(
-                    mu, p.internet_heavy_sigma
-                )
+                overhead = p.internet_heavy_floor + math.exp(mu + p.internet_heavy_sigma * z)
             else:
                 mu = math.log(p.internet_fast_mode) + p.internet_fast_sigma**2
-                overhead = p.internet_floor + r.lognormvariate(mu, p.internet_fast_sigma)
+                overhead = p.internet_floor + math.exp(mu + p.internet_fast_sigma * z)
             delays[path] = base + overhead
     return delays
 
@@ -107,7 +137,7 @@ class LatencyModel:
     ):
         self.path = AccessPath(path)
         self.seed = seed
-        self.params = params if params is not None else LatencyParams()
+        self.params = params if params is not None else _DEFAULT_PARAMS
         self._index = 0
 
     def sample_at(self, index: int) -> float:

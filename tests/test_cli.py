@@ -85,6 +85,21 @@ class TestRelayAttack:
         rc = main(["relay-attack", "--seed", "7", "--transport", "tcp", "--model", "external"])
         assert rc == 0
 
+    @pytest.mark.parametrize("transport", ["inproc", "tcp"])
+    def test_unusable_latency_params_are_usage_errors(self, tmp_path, capsys, transport):
+        # both transports refuse the file before any run, so they agree
+        path = tmp_path / "latency.json"
+        path.write_text('{"internet_heavy_median": 0}')
+        with pytest.raises(SystemExit) as exc_info:
+            main(["relay-attack", "--seed", "7", "--model", "internet",
+                  "--transport", transport, "--latency-params", str(path)])
+        assert exc_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.endswith(
+            f"error: {path}: internet_heavy_median must be > 0, got 0\n"
+        )
+        assert captured.out == ""
+
     def test_identical_seeds_identical_outputs(self, tmp_path):
         for name in ("a", "b"):
             rc = main(["relay-attack", "--seed", "11", "--out", str(tmp_path / name)])
@@ -137,16 +152,16 @@ class TestBench:
         rc = main(["bench", "--path", "all", "--reps", "200", "--seed", "3", *extra])
         assert rc == 0
         assert capsys.readouterr().out.splitlines() == [
-            "external: reps=200 min_ms=23.2 median_ms=30.2 max_ms=39.1",
-            "internal: reps=200 min_ms=50.1 median_ms=65.0 max_ms=80.0",
-            "wifi: reps=200 min_ms=154.9 median_ms=220.1 max_ms=288.8",
-            "internet: reps=200 min_ms=236.8 median_ms=1209.7 max_ms=4952.0"
+            "external: reps=200 min_ms=22.3 median_ms=30.2 max_ms=39.1",
+            "internal: reps=200 min_ms=50.1 median_ms=65.6 max_ms=79.7",
+            "wifi: reps=200 min_ms=152.5 median_ms=225.8 max_ms=288.0",
+            "internet: reps=200 min_ms=226.5 median_ms=1156.5 max_ms=3647.2"
             " median_ms>1000: true",
         ]
 
     @pytest.mark.parametrize("extra", [[], ["--include-compute"]])
     def test_all_paths_output_pinned(self, tmp_path, capsys, extra):
-        # digests captured before the paths shared one generator per index
+        # digests captured when the latency draw became a keyed hash
         rc = main(
             ["bench", "--path", "all", "--reps", "200", "--seed", "3", "--ascii",
              "--out", str(tmp_path), *extra]
@@ -155,16 +170,16 @@ class TestBench:
         out = capsys.readouterr().out
         summaries = "".join(line + "\n" for line in out.splitlines() if "reps=" in line)
         assert sha256(summaries) == (
-            "2732501c0ab0aa32c4ce535815296960bc51921a02b40c20cfe05599dc774bc9"
+            "118fa1d63ca2dd4f798824f560db6caba8add241b9444fcba574888c60de1126"
         )
         if extra:  # host compute time may move a delay across a bin edge
             return
-        assert sha256(out) == "60c8ac8968ca39c9319a062ab04c81f8177ac96e9a36820e0b19c8a9c27712c8"
+        assert sha256(out) == "bbbef07fb50cf649f336e6e85990e886e20144fb27eace9cb246888079051d2d"
         assert {p.name: sha256(p.read_text()) for p in tmp_path.glob("*.csv")} == {
             "external.csv": "3f4934e36cd1b700f5bfb8e73744bc0d914a17b96ac380d76c9b74eeb51cfc0c",
             "internal.csv": "a274ad57a1b1051983890b1b51294a865637f5fa80fd245c7d3cd7ae317951e4",
-            "wifi.csv": "fb52e9cd29c8fcb7abc1a01fa7a8939fd1a390d59b613db08e42cd4e7fe1e290",
-            "internet.csv": "19cedbf5fa49f9e235fdac378f5967b37ca6050138047d66c3adfec75089822e",
+            "wifi.csv": "25cef0c2cb81f0a7fbab0d26c8dd41bb86e3628b5c994a48dd3c558e7f728bb3",
+            "internet.csv": "5a4c28a17027d628203ff41869fc428062e439e1b614f0468b6c80eb2228c713",
         }
 
     def test_single_path_csv_equals_all_paths_csv(self, tmp_path):
@@ -204,6 +219,14 @@ class TestBench:
         assert rc == 0
         out = capsys.readouterr().out
         assert "min_ms=1" in out and "max_ms=1" in out  # 10-12 ms band
+
+    def test_negative_latency_param_is_usage_error(self, tmp_path, capsys):
+        params = tmp_path / "latency.json"
+        params.write_text('{"internal_low": -5.0}')
+        with pytest.raises(SystemExit) as exc_info:
+            main(["bench", "--path", "all", "--latency-params", str(params)])
+        assert exc_info.value.code == 2
+        assert f"error: {params}: internal_low must be >= 0, got -5.0\n" in capsys.readouterr().err
 
     def test_unknown_latency_param_is_usage_error(self, tmp_path):
         params = tmp_path / "latency.json"
@@ -317,8 +340,12 @@ class TestConfigFileChecks:
             ("--profile", '{"cvc3_key": "00"}', "cvc3_key must be 16 bytes"),
             ("--policy", '{"internal_disabled_aids": ["A0000000"]}',
              "AID a0000000 must be 5-16 bytes"),
+            ("--latency-params", '{"internal_low": -5.0}', "internal_low must be >= 0, got -5.0"),
+            ("--latency-params", '{"wifi_overhead_low": 300}',
+             "wifi_overhead_low must be <= wifi_overhead_high, got 300 > 210.0"),
         ],
-        ids=["profile-bad-hex", "profile-short-key", "policy-short-aid"],
+        ids=["profile-bad-hex", "profile-short-key", "policy-short-aid",
+             "latency-negative-low", "latency-low-above-high"],
     )
     def test_bad_value_names_the_file(self, tmp_path, capsys, flag, text, message):
         path = tmp_path / "config.json"

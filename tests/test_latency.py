@@ -2,6 +2,9 @@ import hashlib
 import math
 import random
 import statistics
+import struct
+from bisect import bisect_right
+from dataclasses import replace
 
 import pytest
 
@@ -115,11 +118,34 @@ ZERO_DELAYS = LatencyParams(
 HEAVY_WIDE = LatencyParams(internet_heavy_weight=1.0, external_sd=50.0)
 PARAM_SETS = {"defaults": LatencyParams(), "zero": ZERO_DELAYS, "heavy_wide": HEAVY_WIDE}
 IDENTITY_SEEDS = (0, 1, 7, 42, 12345, 2**31 + 5, -3)
-GRID_DIGEST = "ca9f1e273eda360198440ea314f0e1f00843bc7c677a7db4954a1441b1fc6ce6"
+GRID_DIGEST = "153063311e7ca81f3c216e21124523022d1699eca04d376d8eaaf360a91a4527"
+
+
+def hash_reference(path: AccessPath, seed: int, index: int, p: LatencyParams) -> float:
+    """The keyed-hash draw restated from hashlib, struct and math alone."""
+    digest = hashlib.blake2b(f"{seed}:{index}".encode(), digest_size=32).digest()
+    u0, u1, u2, u3 = ((w >> 11) / 2**53 for w in struct.unpack("<4Q", digest))
+    if path is AccessPath.DIRECT_EXTERNAL:
+        z = math.cos(u0 * math.tau) * math.sqrt(-2.0 * math.log(1.0 - u1))
+        return max(0.0, p.external_mean + z * p.external_sd)
+    base = p.internal_low + (p.internal_high - p.internal_low) * u0
+    if path is AccessPath.DIRECT_INTERNAL:
+        return base
+    if path is AccessPath.RELAY_WIFI:
+        return base + (p.wifi_overhead_low + (p.wifi_overhead_high - p.wifi_overhead_low) * u1)
+    z = math.cos(u2 * math.tau) * math.sqrt(-2.0 * math.log(1.0 - u3))
+    if u1 < p.internet_heavy_weight:
+        mu = math.log(p.internet_heavy_median)
+        overhead = p.internet_heavy_floor + math.exp(mu + p.internet_heavy_sigma * z)
+    else:
+        mu = math.log(p.internet_fast_mode) + p.internet_fast_sigma**2
+        overhead = p.internet_floor + math.exp(mu + p.internet_fast_sigma * z)
+    return base + overhead
 
 
 def stdlib_reference(path: AccessPath, seed: int, index: int, p: LatencyParams) -> float:
-    """Each path drawn from a generator of its own, through the stdlib calls."""
+    """The Mersenne Twister stream the delays came from before the keyed hash:
+    each path drawn from a generator of its own, through the stdlib calls."""
     r = random.Random(f"{seed}:{index}")
     if path is AccessPath.DIRECT_EXTERNAL:
         return max(0.0, r.gauss(p.external_mean, p.external_sd))
@@ -151,7 +177,7 @@ def sample_grid_digest() -> str:
 
 
 class TestBitIdentity:
-    """Seeded delays stay bit-identical to the stdlib draws they were defined by."""
+    """Seeded delays stay bit-identical to the keyed-hash draw they are defined by."""
 
     @pytest.mark.parametrize("seed", IDENTITY_SEEDS)
     @pytest.mark.parametrize("params", PARAM_SETS.values(), ids=PARAM_SETS.keys())
@@ -159,7 +185,7 @@ class TestBitIdentity:
         for path in AccessPath:
             m = LatencyModel(path, seed, params)
             for k in range(3000):
-                expected = stdlib_reference(path, seed, k, params)
+                expected = hash_reference(path, seed, k, params)
                 assert m.sample_at(k) == expected, (path, seed, k)
 
     @pytest.mark.parametrize("params", PARAM_SETS.values(), ids=PARAM_SETS.keys())
@@ -167,7 +193,7 @@ class TestBitIdentity:
         for seed in IDENTITY_SEEDS:
             for k in range(300):
                 expected = {
-                    path: stdlib_reference(path, seed, k, params) for path in AccessPath
+                    path: hash_reference(path, seed, k, params) for path in AccessPath
                 }
                 assert sample_paths_at(AccessPath, seed, k, params) == expected
                 # any subset, in any order, gets the same values
@@ -177,5 +203,77 @@ class TestBitIdentity:
                 }
 
     def test_sample_grid_digest(self):
-        # captured before the paths shared one generator per index
+        # captured when the draw became a keyed hash
         assert sample_grid_digest() == GRID_DIGEST
+
+
+KS_DRAWS = 20_000
+
+
+def ks_statistic(a: list[float], b: list[float]) -> float:
+    """Two-sample Kolmogorov-Smirnov statistic: the largest gap between the ECDFs."""
+    a, b = sorted(a), sorted(b)
+    return max(abs(bisect_right(a, x) / len(a) - bisect_right(b, x) / len(b)) for x in a + b)
+
+
+class TestSameDistributions:
+    """The keyed-hash draw keeps the distributions of the stream it replaced."""
+
+    @pytest.mark.parametrize("path", AccessPath, ids=lambda p: p.value)
+    @pytest.mark.parametrize("params", PARAM_SETS.values(), ids=PARAM_SETS.keys())
+    def test_matches_stdlib_stream(self, path, params):
+        new = LatencyModel(path, 2024, params).samples(KS_DRAWS)
+        old = [stdlib_reference(path, 2024, k, params) for k in range(KS_DRAWS)]
+        # the two-sample critical value at the 0.1% level
+        assert ks_statistic(new, old) < 1.95 * math.sqrt(2 / KS_DRAWS)
+
+    @pytest.mark.parametrize("params", PARAM_SETS.values(), ids=PARAM_SETS.keys())
+    def test_heavy_branch_share(self, params):
+        # the branch depends on u1 alone, so lifting the heavy floor out of the
+        # fast branch's reach makes every heavy draw visible by its size
+        lifted = replace(params, internet_heavy_floor=1e9)
+        m = LatencyModel(AccessPath.RELAY_INTERNET, 2024, lifted)
+        share = sum(v >= 1e9 for v in m.samples(KS_DRAWS)) / KS_DRAWS
+        assert abs(share - params.internet_heavy_weight) <= 0.01
+
+
+class TestParamValidation:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"internet_heavy_median": 0}, "internet_heavy_median must be > 0, got 0"),
+            ({"internet_fast_mode": -85.0}, "internet_fast_mode must be > 0, got -85.0"),
+            ({"internal_low": -5.0}, "internal_low must be >= 0, got -5.0"),
+            ({"external_sd": -1.0}, "external_sd must be >= 0, got -1.0"),
+            ({"internet_heavy_sigma": -0.1}, "internet_heavy_sigma must be >= 0, got -0.1"),
+            ({"internet_floor": math.inf}, "internet_floor must be finite, got inf"),
+            ({"external_mean": math.nan}, "external_mean must be finite, got nan"),
+            ({"internet_heavy_weight": -0.5}, "internet_heavy_weight must be >= 0, got -0.5"),
+            ({"internet_heavy_weight": 1.5}, "internet_heavy_weight must be <= 1, got 1.5"),
+            ({"internal_low": 90.0}, "internal_low must be <= internal_high, got 90.0 > 80.0"),
+            ({"wifi_overhead_high": 50.0},
+             "wifi_overhead_low must be <= wifi_overhead_high, got 100.0 > 50.0"),
+        ],
+    )
+    def test_unusable_value_names_the_key(self, kwargs, message):
+        with pytest.raises(ValueError) as exc_info:
+            LatencyParams(**kwargs)
+        assert str(exc_info.value) == message
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"internet_heavy_weight": 0.0},
+            {"internet_heavy_weight": 1.0},
+            {"internal_low": 80.0},
+            {"internet_heavy_median": 1e-9, "internet_fast_mode": 1e-9},
+        ],
+    )
+    def test_edge_values_accepted(self, kwargs):
+        LatencyModel(AccessPath.RELAY_INTERNET, 0, LatencyParams(**kwargs)).samples(10)
+
+    def test_default_params_shared(self):
+        a = LatencyModel(AccessPath.DIRECT_INTERNAL, 0)
+        b = LatencyModel(AccessPath.RELAY_WIFI, 1)
+        assert a.params is b.params
+        assert a.params == LatencyParams()

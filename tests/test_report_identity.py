@@ -31,7 +31,7 @@ RELAY_PINS = (None, "1234", "9999")
 CEILINGS = (None, 300.0)
 DIRECT_POLICIES = (("none", None), ("pin_required", None), ("pin_required", "1234"))
 
-GOLDEN_DIGEST = "56038ea225f88b91218219af52b59020cf5bf189bc39f72662d45a22cded1f9b"
+GOLDEN_DIGEST = "261c7ccbc2ad9c293048b2f62cb26c5af47068722e260dbce0441aaa9986f0a1"
 GOLDEN_RUNS = 1008
 
 
