@@ -70,10 +70,9 @@ class LatencyParams(JsonConfig):
                 raise ValueError(f"{f.name} must be >= 0, got {value!r}")
         for low, high in (("internal_low", "internal_high"),
                           ("wifi_overhead_low", "wifi_overhead_high")):
-            if getattr(self, low) > getattr(self, high):
-                raise ValueError(
-                    f"{low} must be <= {high}, got {getattr(self, low)!r} > {getattr(self, high)!r}"
-                )
+            lo, hi = getattr(self, low), getattr(self, high)
+            if lo > hi:
+                raise ValueError(f"{low} must be <= {high}, got {lo!r} > {hi!r}")
         if self.internet_heavy_weight > 1:
             raise ValueError(
                 f"internet_heavy_weight must be <= 1, got {self.internet_heavy_weight!r}"

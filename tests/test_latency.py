@@ -144,8 +144,10 @@ def hash_reference(path: AccessPath, seed: int, index: int, p: LatencyParams) ->
 
 
 def stdlib_reference(path: AccessPath, seed: int, index: int, p: LatencyParams) -> float:
-    """The Mersenne Twister stream the delays came from before the keyed hash:
-    each path drawn from a generator of its own, through the stdlib calls."""
+    """The Mersenne Twister stream that the keyed hash replaced.
+
+    Each path is drawn from a generator of its own, through the stdlib calls.
+    """
     r = random.Random(f"{seed}:{index}")
     if path is AccessPath.DIRECT_EXTERNAL:
         return max(0.0, r.gauss(p.external_mean, p.external_sd))
