@@ -13,6 +13,7 @@ models, but it makes the bin counts subject to scheduler jitter.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
@@ -39,8 +40,8 @@ class Histogram:
     total: int = 0
 
     def __post_init__(self) -> None:
-        if self.bin_width_ms <= 0:
-            raise ValueError("bin_width_ms must be positive")
+        if not 0 < self.bin_width_ms < math.inf:
+            raise ValueError("bin_width_ms must be positive and finite")
         if self.bin_count < 2:
             raise ValueError("bin_count must be at least 2")
         if not self.counts:

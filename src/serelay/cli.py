@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import socket
 import sys
 import time
@@ -45,7 +46,7 @@ from .scenarios import (
     run_relay_attack,
 )
 from .secure_element import ChannelOrigin, SecureElement
-from .terminal import TransactionReport
+from .terminal import TerminalConfig, TransactionReport
 
 logger = logging.getLogger(__name__)
 
@@ -87,8 +88,8 @@ def _positive_int(text: str) -> int:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive number")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive finite number")
     return value
 
 
@@ -341,8 +342,7 @@ def cmd_emulator(args: argparse.Namespace) -> int:
     result = _run_relayed_transaction(
         CardEmulator(SocketTransport(conn)),
         se=None,
-        seed=resolve_seed(args.seed),
-        timeout_ms=args.timeout_ms,
+        cfg=TerminalConfig(timeout_ms=args.timeout_ms, seed=resolve_seed(args.seed)),
         clock=WallClock(),
     )
     return _finish_relay(result, args.out)

@@ -25,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
+import sys
 import time
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -77,11 +78,20 @@ class LatencyParams(JsonConfig):
             raise ValueError(
                 f"internet_heavy_weight must be <= 1, got {self.internet_heavy_weight!r}"
             )
+        # each log-normal's exponent must not overflow exp, even at the largest |z|
+        hs, fs = self.internet_heavy_sigma, self.internet_fast_sigma
+        for key, value, exponent in (
+            ("internet_heavy_sigma", hs, math.log(self.internet_heavy_median) + hs * _Z_MAX),
+            ("internet_fast_sigma", fs, math.log(self.internet_fast_mode) + fs**2 + fs * _Z_MAX),
+        ):
+            if exponent > math.log(sys.float_info.max):
+                raise ValueError(f"{key} overflows the log-normal draw, got {value!r}")
 
 
-_DEFAULT_PARAMS = LatencyParams()
 _WORDS = struct.Struct("<4Q").unpack
 _UNIT = 2.0**-53
+_Z_MAX = math.sqrt(-2.0 * math.log(_UNIT))  # the largest |z| of _normal
+_DEFAULT_PARAMS = LatencyParams()
 # enum class attributes resolve slowly; the per-path branch compares against these
 _EXTERNAL, _INTERNAL, _WIFI = (
     AccessPath.DIRECT_EXTERNAL, AccessPath.DIRECT_INTERNAL, AccessPath.RELAY_WIFI

@@ -7,13 +7,13 @@ tears down with SESSION_CLOSE. OPEN and CLOSE are echoed back as
 acknowledgements; fatal conditions come back as an ERROR frame whose first
 payload byte is a reason code.
 
-The phone-side relay app owns the secure element's internal channel. On
-session open it selects the wallet's on-card component, unlocks the wallet
-and probes the payment applet; on any teardown (explicit close or transport
-loss) it locks the wallet again, so a terminated session can never leave
-the card spendable. The SE host shares the relay app's session state
-machine; every C-APDU either endpoint passes on takes the same hop into
-the secure element.
+A session endpoint owns one SE channel and delays every C-APDU by the access
+path before the one hop into the SE; a direct run is a plain endpoint. The
+phone-side relay app, on the internal channel, selects the wallet's on-card
+component, unlocks the wallet and probes the payment applet on session open;
+on any teardown (explicit close or transport loss) it locks the wallet
+again, so a terminated session can never leave the card spendable. The SE
+host shares the same session state machine.
 """
 from __future__ import annotations
 
@@ -272,33 +272,43 @@ def unlock_wallet(se, pin: Optional[str] = None) -> Optional[WireFrame]:
 
 
 class SessionEndpoint:
-    """Frame state machine of an endpoint that owns an SE's internal channel.
+    """Frame state machine of an endpoint that owns one of an SE's channels.
 
     One session lives per connection. Subclasses decide what opening,
-    closing and losing the session do; a C-APDU takes :func:`se_exchange`
-    unless a subclass adds to it. A remote SE that vanishes mid-session
-    ends the session with an ACCESS_DENIED error.
+    closing and losing the session do. A C-APDU waits ``model``'s next delay
+    on ``clock``, then takes :func:`se_exchange` on ``origin``; a delay over
+    ``hard_ceiling_ms`` is cut at the ceiling with a TIMEOUT error. A remote
+    SE that vanishes mid-session ends the session with ACCESS_DENIED.
     """
 
-    def __init__(self, se):
+    hard_ceiling_ms: Optional[float] = None  # set by RelayApp
+
+    def __init__(self, se, origin=ChannelOrigin.INTERNAL, model=None, clock=None):
         self.se = se
+        self.origin = origin
+        self.model = model
+        self.clock = clock if clock is not None else WallClock()
         self.session_open = False
 
     def _open(self) -> Optional[WireFrame]:
         """Prepare the channel; an ERROR frame refuses the session."""
-        self.se.open_session(ChannelOrigin.INTERNAL)
+        self.se.open_session(self.origin)
         return None
 
     def _close(self) -> None:
-        self.se.close_session(ChannelOrigin.INTERNAL)
+        self.se.close_session(self.origin)
 
     def _lost(self) -> None:
         self._close()
 
     def _relay(self, capdu: bytes) -> WireFrame:
-        return WireFrame(
-            FrameKind.R_APDU, se_exchange(self.se, ChannelOrigin.INTERNAL, capdu)
-        )
+        delay_ms = self.model.sample_ms() if self.model is not None else 0.0
+        if self.hard_ceiling_ms is not None and delay_ms > self.hard_ceiling_ms:
+            # give up after the ceiling instead of waiting the delay out
+            self.clock.sleep_ms(self.hard_ceiling_ms)
+            return error_frame(ErrorReason.TIMEOUT, f"{delay_ms:.0f}ms")
+        self.clock.sleep_ms(delay_ms)
+        return WireFrame(FrameKind.R_APDU, se_exchange(self.se, self.origin, capdu))
 
     def handle_frame(self, frame: WireFrame) -> list[WireFrame]:
         if frame.kind is FrameKind.SESSION_OPEN:
@@ -366,9 +376,7 @@ class RelayApp(SessionEndpoint):
         pin: Optional[str] = None,
         hard_ceiling_ms: Optional[float] = None,
     ):
-        super().__init__(se)
-        self.model = model
-        self.clock = clock if clock is not None else WallClock()
+        super().__init__(se, model=model, clock=clock)
         self.pin = pin
         self.hard_ceiling_ms = hard_ceiling_ms
 
@@ -393,15 +401,6 @@ class RelayApp(SessionEndpoint):
             pass  # a dead remote SE cannot be locked from here
         finally:
             self.se.close_session(ChannelOrigin.INTERNAL)
-
-    def _relay(self, capdu: bytes) -> WireFrame:
-        delay_ms = self.model.sample_ms() if self.model is not None else 0.0
-        if self.hard_ceiling_ms is not None and delay_ms > self.hard_ceiling_ms:
-            # give up after the ceiling instead of waiting the delay out
-            self.clock.sleep_ms(self.hard_ceiling_ms)
-            return error_frame(ErrorReason.TIMEOUT, f"{delay_ms:.0f}ms")
-        self.clock.sleep_ms(delay_ms)
-        return super()._relay(capdu)
 
 
 class SecureElementHost(SessionEndpoint):

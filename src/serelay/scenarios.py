@@ -1,10 +1,10 @@
 """End-to-end scenario orchestration shared by the CLI and the test suite.
 
-Two experiments are wired here: driving the terminal straight against an
-in-process secure element (over either channel), and the full relay attack
-with terminal, card emulator and relay app talking through the framed wire
-protocol, either in-process on a virtual clock for deterministic mass runs or
-over TCP loopback with real threads and real sleeps.
+Both experiments run terminal -> card emulator -> frames -> session endpoint
+-> secure element. A direct run puts a plain endpoint on either channel; the
+relay attack puts the relay app there, in-process on a virtual clock for
+deterministic mass runs or over TCP loopback with real threads and sleeps.
+Only the access path's delays differ.
 """
 from __future__ import annotations
 
@@ -28,16 +28,12 @@ from .relay import (
     CardEmulator,
     InProcessTransport,
     RelayApp,
+    SessionEndpoint,
     SocketTransport,
     unlock_wallet,
 )
 from .secure_element import ChannelOrigin, SecureElement
-from .terminal import (
-    DirectCardInterface,
-    TerminalConfig,
-    TransactionReport,
-    run_transaction,
-)
+from .terminal import TerminalConfig, TransactionReport, run_transaction
 
 logger = logging.getLogger(__name__)
 
@@ -64,25 +60,20 @@ def run_pos_direct(
     atc: int = 0,
     clock=None,
 ) -> TransactionReport:
-    """One terminal transaction straight against the secure element."""
+    """One terminal transaction through a plain session endpoint on ``origin``."""
     seed = resolve_seed(seed)
+    cfg = TerminalConfig(timeout_ms=timeout_ms, seed=seed, fixed_un=fixed_un)
     clock = clock if clock is not None else VirtualClock()
     if se is None:
         se = SecureElement(profile=profile, policy=policy, atc=atc)
-    if unlock:
-        if unlock_wallet(se, pin) is not None:
-            logger.info("local unlock failed; transaction will run against a locked wallet")
-    elif origin is ChannelOrigin.INTERNAL:
-        se.open_session(ChannelOrigin.INTERNAL)
-    if origin is ChannelOrigin.CONTACTLESS:
-        se.open_session(ChannelOrigin.CONTACTLESS)
+    if unlock and unlock_wallet(se, pin) is not None:
+        logger.info("local unlock failed; transaction will run against a locked wallet")
     if path is None:
         contactless = origin is ChannelOrigin.CONTACTLESS
         path = AccessPath.DIRECT_EXTERNAL if contactless else AccessPath.DIRECT_INTERNAL
-    model = LatencyModel(path, seed, latency_params)
-    card = DirectCardInterface(se, origin, model=model, clock=clock)
-    cfg = TerminalConfig(timeout_ms=timeout_ms, seed=seed, fixed_un=fixed_un)
-    return run_transaction(card, cfg, clock)
+    endpoint = SessionEndpoint(se, origin, LatencyModel(path, seed, latency_params), clock)
+    emulator = CardEmulator(InProcessTransport(endpoint))
+    return _run_relayed_transaction(emulator, se, cfg, clock).report
 
 
 @dataclass
@@ -114,6 +105,7 @@ def run_relay_attack(
 ) -> RelayAttackResult:
     """Full relay attack: terminal -> emulator -> relay app -> secure element."""
     seed = resolve_seed(seed)
+    cfg = TerminalConfig(timeout_ms=timeout_ms, seed=seed)
     if se is None:
         se = SecureElement(profile=profile, policy=policy, atc=atc)
     if transport == "inproc":
@@ -131,11 +123,11 @@ def run_relay_attack(
     )
     if transport == "inproc":
         return _run_relayed_transaction(
-            CardEmulator(InProcessTransport(relay)), se, seed, timeout_ms, clock
+            CardEmulator(InProcessTransport(relay)), se, cfg, clock
         )
     emulator, relay_thread = _serve_over_loopback(relay)
     try:
-        return _run_relayed_transaction(emulator, se, seed, timeout_ms, clock)
+        return _run_relayed_transaction(emulator, se, cfg, clock)
     finally:
         relay_thread.join(timeout=5.0)
 
@@ -143,8 +135,7 @@ def run_relay_attack(
 def _run_relayed_transaction(
     emulator: CardEmulator,
     se: Optional[SecureElement],
-    seed: int,
-    timeout_ms: Optional[float],
+    cfg: TerminalConfig,
     clock,
 ) -> RelayAttackResult:
     """Activate the field, run one transaction, close the emulator.
@@ -157,7 +148,6 @@ def _run_relayed_transaction(
             emulator.activate_field()
         except ActivationRefused as refused:
             return RelayAttackResult(report=None, session_error=refused.reason, se=se)
-        cfg = TerminalConfig(timeout_ms=timeout_ms, seed=seed)
         report = run_transaction(emulator, cfg, clock)
         emulator.deactivate_field()
         return RelayAttackResult(report=report, session_error=None, se=se)

@@ -5,8 +5,8 @@ system environment, select the highest-priority application it lists, get
 processing options, read the track data record(s) named by the file
 locator, then request a cryptographic checksum over a fresh unpredictable
 number. The terminal works against any card interface exposing
-``exchange(bytes) -> bytes``, whether the in-process secure element or a card
-emulator on the far side of a relay.
+``exchange(bytes) -> bytes``: a card emulator, whose session endpoint hands
+each command to the secure element straight or across a relay.
 
 A reply without a status word, a non-9000 status word or a response the
 terminal cannot use declines the transaction with a reason naming the
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Optional, Protocol
@@ -25,13 +26,11 @@ from typing import Optional, Protocol
 from . import tlv
 from .apdu import CommandApdu, MalformedApdu, ResponseApdu
 from .hexutil import format_hex
-from .latency import LatencyModel, WallClock
-from .relay import CardRemoved, ExchangeTimeout, se_exchange
+from .latency import WallClock
+from .relay import CardRemoved, ExchangeTimeout
 from .secure_element import (
-    ChannelOrigin,
     GPO_COMMAND,
     PPSE_AID,
-    SecureElement,
     compute_cc_command,
     read_record_command,
     select_command,
@@ -72,8 +71,8 @@ class TerminalConfig:
     fixed_un: Optional[bytes] = None
 
     def __post_init__(self) -> None:
-        if self.timeout_ms is not None and self.timeout_ms <= 0:
-            raise ValueError("timeout_ms must be positive")
+        if self.timeout_ms is not None and not 0 < self.timeout_ms < math.inf:
+            raise ValueError("timeout_ms must be positive and finite")
         if self.fixed_un is not None and len(self.fixed_un) != 4:
             raise ValueError("fixed_un must be exactly 4 bytes")
 
@@ -337,29 +336,3 @@ def _run_steps(report: TransactionReport, step, un: bytes) -> None:
     report.cvc3_track1 = cvc3_t1
     report.cvc3_track2 = cvc3_t2
     report.atc = int.from_bytes(atc, "big")
-
-
-class DirectCardInterface:
-    """Card interface straight into an in-process secure element.
-
-    Applies the access path's sampled delay to every exchange, then takes
-    the same hop into the secure element a relayed command takes, so a run
-    over this interface is timed and answered the way a relayed run is.
-    """
-
-    def __init__(
-        self,
-        se: SecureElement,
-        origin: ChannelOrigin,
-        model: Optional[LatencyModel] = None,
-        clock=None,
-    ):
-        self.se = se
-        self.origin = origin
-        self.model = model
-        self.clock = clock if clock is not None else WallClock()
-
-    def exchange(self, capdu: bytes, max_wait_ms: Optional[float] = None) -> bytes:
-        if self.model is not None:
-            self.clock.sleep_ms(self.model.sample_ms())
-        return se_exchange(self.se, self.origin, capdu)

@@ -69,6 +69,12 @@ class TestHistogram:
             Histogram(counts=[0, 0, 0], bin_count=2)
 
 
+    @pytest.mark.parametrize("width", [float("nan"), float("inf")])
+    def test_non_finite_bin_width_rejected(self, width):
+        with pytest.raises(ValueError, match="bin_width_ms must be positive and finite"):
+            Histogram(bin_width_ms=width)
+
+
 class TestCsv:
     def test_header_and_rows(self):
         hist = Histogram(bin_width_ms=50.0, bin_count=160)

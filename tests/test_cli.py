@@ -100,6 +100,20 @@ class TestRelayAttack:
         )
         assert captured.out == ""
 
+    @pytest.mark.parametrize("transport", ["inproc", "tcp"])
+    def test_overflowing_sigma_is_usage_error(self, tmp_path, capsys, transport):
+        path = tmp_path / "latency.json"
+        path.write_text('{"internet_heavy_sigma": 1000}')
+        with pytest.raises(SystemExit) as exc_info:
+            main(["relay-attack", "--seed", "7", "--model", "internet",
+                  "--transport", transport, "--latency-params", str(path)])
+        assert exc_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.endswith(
+            f"error: {path}: internet_heavy_sigma overflows the log-normal draw, got 1000\n"
+        )
+        assert captured.out == ""
+
     def test_identical_seeds_identical_outputs(self, tmp_path):
         for name in ("a", "b"):
             rc = main(["relay-attack", "--seed", "11", "--out", str(tmp_path / name)])
@@ -228,12 +242,46 @@ class TestBench:
         assert exc_info.value.code == 2
         assert f"error: {params}: internal_low must be >= 0, got -5.0\n" in capsys.readouterr().err
 
+    def test_overflowing_sigma_is_usage_error(self, tmp_path, capsys):
+        params = tmp_path / "latency.json"
+        params.write_text('{"internet_heavy_sigma": 1000}')
+        with pytest.raises(SystemExit) as exc_info:
+            main(["bench", "--path", "internet", "--reps", "50", "--latency-params", str(params)])
+        assert exc_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "internet_heavy_sigma overflows the log-normal draw" in captured.err
+        assert captured.out == ""
+
     def test_unknown_latency_param_is_usage_error(self, tmp_path):
         params = tmp_path / "latency.json"
         params.write_text('{"warp_factor": 9}')
         with pytest.raises(SystemExit) as exc_info:
             main(["bench", "--latency-params", str(params)])
         assert exc_info.value.code == 2
+
+
+class TestNonFiniteFlags:
+    # nan passes every "<= 0" check, so each flag must ask for a finite value
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["relay-attack", "--seed", "7", "--model", "internet", "--timeout-ms", "nan"],
+            ["relay-attack", "--seed", "7", "--timeout-ms", "inf"],
+            ["relay-attack", "--seed", "7", "--hard-ceiling-ms", "nan"],
+            ["pos-direct", "--seed", "7", "--timeout-ms", "nan"],
+            ["bench", "--path", "internet", "--reps", "50", "--bin-width", "inf"],
+            ["bench", "--path", "internet", "--reps", "50", "--bin-width", "nan"],
+        ],
+        ids=lambda argv: " ".join(argv[0:1] + argv[-2:]),
+    )
+    def test_non_finite_number_is_usage_error(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main([*argv, "--out", str(tmp_path / "out")])
+        assert exc_info.value.code == 2
+        captured = capsys.readouterr()
+        assert f"{argv[-1]!r} is not a positive finite number" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
 
 
 class TestDecode:

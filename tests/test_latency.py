@@ -3,6 +3,7 @@ import math
 import random
 import statistics
 import struct
+import sys
 from bisect import bisect_right
 from dataclasses import replace
 
@@ -273,6 +274,41 @@ class TestParamValidation:
     )
     def test_edge_values_accepted(self, kwargs):
         LatencyModel(AccessPath.RELAY_INTERNET, 0, LatencyParams(**kwargs)).samples(10)
+
+    @pytest.mark.parametrize(
+        "kwargs, key",
+        [
+            ({"internet_heavy_sigma": 1000.0}, "internet_heavy_sigma"),
+            ({"internet_fast_sigma": 30.0}, "internet_fast_sigma"),
+            ({"internet_heavy_median": 1e308}, "internet_heavy_sigma"),
+        ],
+    )
+    def test_overflowing_log_normal_rejected(self, kwargs, key):
+        with pytest.raises(ValueError, match=f"^{key} overflows the log-normal draw"):
+            LatencyParams(**kwargs)
+
+    def test_sigma_bound_is_the_largest_exponent(self):
+        # |z| of a Box-Muller normal on 53-bit uniforms peaks where
+        # 1 - u = 2**-53 and the cosine is 1
+        z_max = math.sqrt(-2.0 * math.log(2.0**-53))
+        log_max = math.log(sys.float_info.max)
+        median = 400.0
+        sigma = (log_max - math.log(median)) / z_max
+        while math.log(median) + sigma * z_max > log_max:
+            sigma = math.nextafter(sigma, 0.0)
+        # the largest accepted sigma still draws a finite delay at the peak |z|
+        LatencyParams(internet_heavy_sigma=sigma, internet_heavy_median=median)
+        assert math.isfinite(math.exp(math.log(median) + sigma * z_max))
+        with pytest.raises(ValueError):
+            LatencyParams(
+                internet_heavy_sigma=math.nextafter(sigma, math.inf),
+                internet_heavy_median=median,
+            )
+        # the fast branch adds sigma**2 to its exponent: 22 fits, 23 does not
+        LatencyParams(internet_fast_sigma=22.0)
+        assert math.isfinite(math.exp(math.log(85.0) + 22.0**2 + 22.0 * z_max))
+        with pytest.raises(ValueError):
+            LatencyParams(internet_fast_sigma=23.0)
 
     def test_default_params_shared(self):
         a = LatencyModel(AccessPath.DIRECT_INTERNAL, 0)

@@ -1,0 +1,66 @@
+"""Direct runs and relayed runs share one pipeline; these tests pin what that
+promises: the same report for the same delays, and what a run leaves behind."""
+import threading
+
+import pytest
+
+from serelay.latency import AccessPath, LatencyParams
+from serelay.scenarios import run_pos_direct, run_relay_attack
+from serelay.secure_element import ChannelOrigin, SecureElement
+from serelay.terminal import APPROVED, TIMED_OUT
+
+
+def test_direct_and_relayed_runs_give_the_same_report():
+    # a direct run over a relay path's delays is timed and answered the way the
+    # relayed run is: only the endpoint in front of the SE differs
+    outcomes = {APPROVED: 0, TIMED_OUT: 0}
+    for path in (AccessPath.RELAY_WIFI, AccessPath.RELAY_INTERNET):
+        for seed in range(30):
+            for timeout_ms in (None, 500, 1000, 2000):
+                direct = run_pos_direct(seed=seed, path=path, timeout_ms=timeout_ms, atc=seed)
+                relayed = run_relay_attack(seed=seed, path=path, timeout_ms=timeout_ms, atc=seed)
+                assert direct.to_dict() == relayed.report.to_dict(), (path, seed, timeout_ms)
+                outcomes[direct.outcome] += 1
+    assert outcomes == {APPROVED: 95, TIMED_OUT: 145}
+
+
+@pytest.mark.parametrize("origin", list(ChannelOrigin))
+def test_direct_run_closes_its_channel(origin):
+    se = SecureElement(atc=4)
+    report = run_pos_direct(origin=origin, se=se, seed=1)
+    assert report.outcome == APPROVED
+    # the emulator's SESSION_CLOSE drops the channel, as at field-off; the
+    # wallet stays as the local unlock left it
+    assert se.selected[origin] is None
+    assert se.pin_verified is False
+    assert se.wallet_locked is False
+    assert se.atc == report.atc == 5
+
+
+def test_tcp_step_past_the_deadline_is_recorded_empty():
+    # every exchange takes 600 ms against a 300 ms deadline: the terminal stops
+    # waiting at the deadline and the first step is recorded without a reply
+    params = LatencyParams(
+        internal_low=0, internal_high=0, wifi_overhead_low=600, wifi_overhead_high=600
+    )
+    se = SecureElement(atc=9)
+    relays_before = {t for t in threading.enumerate() if t.name == "relay-app"}
+    result = run_relay_attack(
+        se=se,
+        path=AccessPath.RELAY_WIFI,
+        latency_params=params,
+        seed=3,
+        timeout_ms=300,
+        transport="tcp",
+    )
+    report = result.report
+    assert report.outcome == TIMED_OUT
+    assert len(report.steps) == 1
+    step = report.steps[0]
+    assert step.name == "select_ppse"
+    assert step.rapdu == b"" and step.sw is None
+    assert 300 <= step.elapsed_ms < 600
+    assert se.wallet_locked
+    assert se.atc == 9
+    relays_after = {t for t in threading.enumerate() if t.name == "relay-app" and t.is_alive()}
+    assert relays_after <= relays_before

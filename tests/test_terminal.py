@@ -13,6 +13,8 @@ from serelay.relay import (
     CardEmulator,
     CardRemoved,
     FrameKind,
+    InProcessTransport,
+    SessionEndpoint,
     SocketTransport,
     WireFrame,
     unlock_wallet,
@@ -40,7 +42,6 @@ from serelay.terminal import (
     CARD_REMOVED,
     DECLINED,
     TIMED_OUT,
-    DirectCardInterface,
     MalformedAfl,
     MalformedTrack,
     TerminalConfig,
@@ -107,12 +108,17 @@ class TestParseTrack2:
             parse_track2(parse_hex("1234D171"))
 
 
+def direct_card(se, origin, model=None, clock=None):
+    """A card emulator with its field up, straight in front of ``se``'s channel."""
+    card = CardEmulator(InProcessTransport(SessionEndpoint(se, origin, model, clock)))
+    card.activate_field()
+    return card
+
+
 def unlocked_card(se=None, origin=ChannelOrigin.INTERNAL, **kwargs):
     se = se if se is not None else SecureElement(**kwargs)
     unlock_wallet(se)
-    if origin is ChannelOrigin.CONTACTLESS:
-        se.open_session(origin)
-    return se, DirectCardInterface(se, origin)
+    return se, direct_card(se, origin)
 
 
 class TestRunTransaction:
@@ -163,8 +169,7 @@ class TestRunTransaction:
 
     def test_locked_wallet_declines_at_select_aid(self):
         se = SecureElement()
-        se.open_session(ChannelOrigin.CONTACTLESS)
-        card = DirectCardInterface(se, ChannelOrigin.CONTACTLESS)
+        card = direct_card(se, ChannelOrigin.CONTACTLESS)
         report = run_transaction(card, TerminalConfig(seed=1), VirtualClock())
         assert report.outcome == DECLINED
         assert report.reason == "6985"
@@ -344,7 +349,7 @@ class TestDeclineReasons:
         cards = ((plain, CardProfile()), (custom, other), (beyond, None))
         for seed in range(3):
             for se, profile in cards:
-                card = DirectCardInterface(se, ChannelOrigin.INTERNAL)
+                card = direct_card(se, ChannelOrigin.INTERNAL)
                 cfg = TerminalConfig(seed=seed)
                 report = run_transaction(card, cfg, VirtualClock())
                 if profile is None:
@@ -369,7 +374,7 @@ class TestTimeout:
         se = SecureElement()
         unlock_wallet(se)
         clock = VirtualClock()
-        card = DirectCardInterface(
+        card = direct_card(
             se,
             ChannelOrigin.INTERNAL,
             model=LatencyModel(AccessPath.RELAY_INTERNET, seed=seed),
@@ -382,7 +387,7 @@ class TestTimeout:
         se = SecureElement()
         unlock_wallet(se)
         clock = VirtualClock()
-        card = DirectCardInterface(
+        card = direct_card(
             se,
             ChannelOrigin.INTERNAL,
             model=LatencyModel(AccessPath.RELAY_INTERNET, seed=8),
@@ -506,6 +511,11 @@ class TestReportSerialization:
             TerminalConfig(timeout_ms=0)
         with pytest.raises(ValueError):
             TerminalConfig(fixed_un=b"\x00")
+
+    @pytest.mark.parametrize("timeout_ms", [float("nan"), float("inf")])
+    def test_non_finite_timeout_rejected(self, timeout_ms):
+        with pytest.raises(ValueError, match="timeout_ms must be positive and finite"):
+            TerminalConfig(timeout_ms=timeout_ms)
 
 
 class TestPosDirectScenario:
