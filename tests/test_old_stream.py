@@ -14,9 +14,10 @@ from serelay import bench, latency
 from serelay.cli import main
 from test_cli import sha256
 from test_latency import sample_grid_digest, stdlib_reference
-from test_report_identity import GOLDEN_RUNS, report_digest
+from test_report_identity import GOLDEN_RUNS, UNTIMED_RUNS, report_digest
 
 REPORT_DIGEST = "56038ea225f88b91218219af52b59020cf5bf189bc39f72662d45a22cded1f9b"
+UNTIMED_REPORT_DIGEST = "ddcb40a5891f19b221e07700a29706b91cf8a9e7d353c852b2aa354ad5340931"
 GRID_DIGEST = "ca9f1e273eda360198440ea314f0e1f00843bc7c677a7db4954a1441b1fc6ce6"
 BENCH_SUMMARY_LINES = [
     "external: reps=200 min_ms=23.2 median_ms=30.2 max_ms=39.1",
@@ -45,8 +46,10 @@ def mersenne_twister_stream(monkeypatch):
 
 
 def test_report_grid():
-    digest, runs, _outcomes = report_digest()
+    digest, runs, outcomes, untimed = report_digest()
     assert runs == GOLDEN_RUNS
+    assert runs - outcomes["timed_out"] == UNTIMED_RUNS
+    assert untimed == UNTIMED_REPORT_DIGEST
     assert digest == REPORT_DIGEST
 
 

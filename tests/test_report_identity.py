@@ -7,6 +7,9 @@ channels with and without the local unlock, is reduced to its report's
 element's state at the end of the run. The sha256 over those records is
 frozen below: a refactor that changes any report byte, outcome or end state
 changes the digest.
+
+The runs that do not time out are also hashed on their own: a change to how a
+timed-out step is recorded moves the full digest but must leave that one.
 """
 import hashlib
 import itertools
@@ -33,6 +36,8 @@ DIRECT_POLICIES = (("none", None), ("pin_required", None), ("pin_required", "123
 
 GOLDEN_DIGEST = "261c7ccbc2ad9c293048b2f62cb26c5af47068722e260dbce0441aaa9986f0a1"
 GOLDEN_RUNS = 1008
+UNTIMED_DIGEST = "4c9a76ebb848a17f0c764e90d545b8ca36de3528e39687161e52a534b1aaa837"
+UNTIMED_RUNS = 944
 
 
 def _se_state(se: SecureElement) -> dict:
@@ -72,21 +77,27 @@ def grid_records():
         }
 
 
-def report_digest() -> tuple[str, int, Counter]:
-    """The grid's sha256, its run count and how often each outcome occurred."""
+def report_digest() -> tuple[str, int, Counter, str]:
+    """The grid's sha256, its run count, how often each outcome occurred and
+    the sha256 of the runs that did not time out."""
     digest = hashlib.sha256()
+    untimed = hashlib.sha256()
     runs = 0
     outcomes = Counter()
     for record in grid_records():
-        digest.update(json.dumps(record, sort_keys=True).encode("utf-8") + b"\n")
+        line = json.dumps(record, sort_keys=True).encode("utf-8") + b"\n"
+        digest.update(line)
         runs += 1
         report = record["report"]
-        outcomes[report["outcome"] if report is not None else record["session_error"]] += 1
-    return digest.hexdigest(), runs, outcomes
+        outcome = report["outcome"] if report is not None else record["session_error"]
+        outcomes[outcome] += 1
+        if outcome != "timed_out":
+            untimed.update(line)
+    return digest.hexdigest(), runs, outcomes, untimed.hexdigest()
 
 
 def test_report_identity_digest():
-    digest, runs, outcomes = report_digest()
+    digest, runs, outcomes, untimed = report_digest()
     # the grid must reach every outcome, or an identical digest proves little
     assert set(outcomes) == {
         "approved",
@@ -97,4 +108,6 @@ def test_report_identity_digest():
         "access_denied",
     }, outcomes
     assert runs == GOLDEN_RUNS
+    assert runs - outcomes["timed_out"] == UNTIMED_RUNS
+    assert untimed == UNTIMED_DIGEST
     assert digest == GOLDEN_DIGEST
