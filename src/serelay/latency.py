@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import select
 import struct
 import sys
 import time
@@ -80,12 +81,26 @@ class LatencyParams(JsonConfig):
             )
         # each log-normal's exponent must not overflow exp, even at the largest |z|
         hs, fs = self.internet_heavy_sigma, self.internet_fast_sigma
+        heavy = math.log(self.internet_heavy_median) + hs * _Z_MAX
+        fast = math.log(self.internet_fast_mode) + fs**2 + fs * _Z_MAX
         for key, value, exponent in (
-            ("internet_heavy_sigma", hs, math.log(self.internet_heavy_median) + hs * _Z_MAX),
-            ("internet_fast_sigma", fs, math.log(self.internet_fast_mode) + fs**2 + fs * _Z_MAX),
+            ("internet_heavy_sigma", hs, heavy),
+            ("internet_fast_sigma", fs, fast),
         ):
             if exponent > math.log(sys.float_info.max):
                 raise ValueError(f"{key} overflows the log-normal draw, got {value!r}")
+        # each path's largest delay, summed as the sampler sums it, must be finite
+        base = self.internal_low + (self.internal_high - self.internal_low)
+        wifi = self.wifi_overhead_low + (self.wifi_overhead_high - self.wifi_overhead_low)
+        for keys, largest in (
+            ("external_mean + external_sd", self.external_mean + _Z_MAX * self.external_sd),
+            ("internal_high + wifi_overhead_high", base + wifi),
+            ("internal_high + internet_heavy_floor",
+             base + (self.internet_heavy_floor + math.exp(heavy))),
+            ("internal_high + internet_floor", base + (self.internet_floor + math.exp(fast))),
+        ):
+            if not math.isfinite(largest):
+                raise ValueError(f"{keys} overflows the largest delay")
 
 
 _WORDS = struct.Struct("<4Q").unpack
@@ -169,9 +184,15 @@ class WallClock:
     def now_ms(self) -> float:
         return time.monotonic() * 1000.0
 
-    def sleep_ms(self, duration_ms: float) -> None:
+    def sleep_ms(self, duration_ms: float, limit_ms: float = math.inf, wake=None) -> bool:
+        """Wait up to ``limit_ms`` or until socket ``wake`` is readable; True if all elapsed."""
         if duration_ms > 0:
-            time.sleep(duration_ms / 1000.0)
+            seconds = min(duration_ms, limit_ms) / 1000.0
+            if wake is None:
+                time.sleep(seconds)
+            elif select.select([wake], [], [], seconds)[0]:
+                return False
+        return duration_ms <= limit_ms
 
 
 class VirtualClock:
@@ -183,6 +204,8 @@ class VirtualClock:
     def now_ms(self) -> float:
         return self._now
 
-    def sleep_ms(self, duration_ms: float) -> None:
+    def sleep_ms(self, duration_ms: float, limit_ms: float = math.inf, wake=None) -> bool:
+        """Move to the end of the delay or to ``limit_ms``, whichever is first."""
         if duration_ms > 0:
-            self._now += duration_ms
+            self._now += min(duration_ms, limit_ms)
+        return duration_ms <= limit_ms

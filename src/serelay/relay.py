@@ -18,6 +18,7 @@ host shares the same session state machine.
 from __future__ import annotations
 
 import logging
+import math
 import socket
 from collections import deque
 from dataclasses import dataclass
@@ -200,6 +201,9 @@ class SocketTransport:
                 pass
         return WireFrame.decode(bytes(buf))
 
+    def fileno(self) -> int:
+        return self._sock.fileno()
+
     def close(self) -> None:
         if not self._closed:
             self._closed = True
@@ -211,29 +215,31 @@ class SocketTransport:
 
 
 class InProcessTransport:
-    """Single-threaded transport that feeds frames straight into a handler.
+    """Single-threaded transport that runs a handler on the caller's thread.
 
-    Used where both endpoints live in one process: the emulator's sends are
-    handled synchronously and the handler's replies are queued for the next
-    ``recv_frame``. FIFO per session holds by construction.
+    Used where both endpoints live in one process: ``recv_frame`` hands the
+    oldest sent frame and the caller's deadline to the handler, and raises
+    :class:`ExchangeTimeout` if the deadline cut the reply off.
     """
 
     def __init__(self, handler: SessionEndpoint):
         self._handler = handler
-        self._inbox: deque[WireFrame] = deque()
+        self._sent: deque[WireFrame] = deque()
         self._closed = False
 
     def send_frame(self, frame: WireFrame) -> None:
         if self._closed:
             raise TransportClosed("transport already closed")
-        self._inbox.extend(self._handler.handle_frame(frame))
+        self._sent.append(frame)
 
     def recv_frame(self, timeout_ms: Optional[float] = None) -> WireFrame:
         if self._closed:
             raise TransportClosed("transport already closed")
-        if not self._inbox:
+        if not self._sent:
             raise RelayProtocolError("no frame pending")
-        return self._inbox.popleft()
+        for reply in self._handler.handle_frame(self._sent.popleft(), deadline_ms=timeout_ms):
+            return reply
+        raise ExchangeTimeout("no frame within deadline")
 
     def close(self) -> None:
         if not self._closed:
@@ -276,18 +282,18 @@ class SessionEndpoint:
 
     One session lives per connection. Subclasses decide what opening,
     closing and losing the session do. A C-APDU waits ``model``'s next delay
-    on ``clock``, then takes :func:`se_exchange` on ``origin``; a delay over
-    ``hard_ceiling_ms`` is cut at the ceiling with a TIMEOUT error. A remote
-    SE that vanishes mid-session ends the session with ACCESS_DENIED.
+    on ``clock`` up to the nearer of ``hard_ceiling_ms`` and the caller's
+    deadline, then takes :func:`se_exchange` on ``origin``; a wait cut short
+    ends the session instead, with a TIMEOUT error if the ceiling cut it. A
+    remote SE that vanishes mid-session ends the session with ACCESS_DENIED.
     """
-
-    hard_ceiling_ms: Optional[float] = None  # set by RelayApp
 
     def __init__(self, se, origin=ChannelOrigin.INTERNAL, model=None, clock=None):
         self.se = se
         self.origin = origin
         self.model = model
         self.clock = clock if clock is not None else WallClock()
+        self.hard_ceiling_ms: Optional[float] = None
         self.session_open = False
 
     def _open(self) -> Optional[WireFrame]:
@@ -301,16 +307,17 @@ class SessionEndpoint:
     def _lost(self) -> None:
         self._close()
 
-    def _relay(self, capdu: bytes) -> WireFrame:
+    def _relay(self, capdu: bytes, deadline_ms: Optional[float], wake) -> list[WireFrame]:
         delay_ms = self.model.sample_ms() if self.model is not None else 0.0
-        if self.hard_ceiling_ms is not None and delay_ms > self.hard_ceiling_ms:
-            # give up after the ceiling instead of waiting the delay out
-            self.clock.sleep_ms(self.hard_ceiling_ms)
-            return error_frame(ErrorReason.TIMEOUT, f"{delay_ms:.0f}ms")
-        self.clock.sleep_ms(delay_ms)
-        return WireFrame(FrameKind.R_APDU, se_exchange(self.se, self.origin, capdu))
+        limit = min(x for x in (self.hard_ceiling_ms, deadline_ms, math.inf) if x is not None)
+        if self.clock.sleep_ms(delay_ms, limit, wake):
+            return [WireFrame(FrameKind.R_APDU, se_exchange(self.se, self.origin, capdu))]
+        self.on_transport_lost()  # the command never reaches the SE
+        if limit == self.hard_ceiling_ms:
+            return [error_frame(ErrorReason.TIMEOUT, f"{delay_ms:.0f}ms")]
+        return []
 
-    def handle_frame(self, frame: WireFrame) -> list[WireFrame]:
+    def handle_frame(self, frame: WireFrame, deadline_ms=None, wake=None) -> list[WireFrame]:
         if frame.kind is FrameKind.SESSION_OPEN:
             if self.session_open:
                 return [error_frame(ErrorReason.SESSION_STATE, "already open")]
@@ -332,7 +339,7 @@ class SessionEndpoint:
             if not self.session_open:
                 return [error_frame(ErrorReason.SESSION_STATE, "session not open")]
             try:
-                return [self._relay(frame.payload)]
+                return self._relay(frame.payload, deadline_ms, wake)
             except SessionFailed:
                 self.session_open = False
                 self._close()
@@ -341,15 +348,15 @@ class SessionEndpoint:
 
     def on_transport_lost(self) -> None:
         if self.session_open:
-            logger.info("transport lost with a session open; locking wallet")
+            logger.info("session lost while open; ending it")
             self.session_open = False
             self._lost()
 
     def serve(self, transport: Transport) -> None:
-        """Drive one connection until the peer goes away."""
+        """Drive one connection until the peer goes away, which also ends a wait."""
         try:
             while True:
-                for reply in self.handle_frame(transport.recv_frame()):
+                for reply in self.handle_frame(transport.recv_frame(), wake=transport):
                     transport.send_frame(reply)
         except (TransportClosed, RelayProtocolError):
             pass

@@ -130,6 +130,8 @@ def run_relay_attack(
         return _run_relayed_transaction(emulator, se, cfg, clock)
     finally:
         relay_thread.join(timeout=5.0)
+        if relay_thread.is_alive():
+            raise RuntimeError("the relay app did not end its session")
 
 
 def _run_relayed_transaction(
@@ -149,7 +151,6 @@ def _run_relayed_transaction(
         except ActivationRefused as refused:
             return RelayAttackResult(report=None, session_error=refused.reason, se=se)
         report = run_transaction(emulator, cfg, clock)
-        emulator.deactivate_field()
         return RelayAttackResult(report=report, session_error=None, se=se)
     finally:
         emulator.close()

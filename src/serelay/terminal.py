@@ -222,8 +222,6 @@ def run_transaction(
             report.steps.append(TransactionStep(name, raw, b"", clock.now_ms() - sent_at))
             raise _Abort(TIMED_OUT) from None
         report.steps.append(TransactionStep(name, raw, reply, clock.now_ms() - sent_at))
-        if cfg.timeout_ms is not None and clock.now_ms() - start > cfg.timeout_ms:
-            raise _Abort(TIMED_OUT)
         try:
             resp = ResponseApdu.parse(reply)
         except MalformedApdu:

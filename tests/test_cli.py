@@ -404,6 +404,31 @@ class TestConfigFileChecks:
         assert f"error: {path}: {message}\n" in capsys.readouterr().err
 
 
+class TestOverflowingLatencySum:
+    # every value is finite, but internal + WiFi overhead overflows to inf:
+    # each role refuses the file before any run instead of approving in inf ms
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bench", "--path", "wifi", "--reps", "50"],
+            ["relay-attack", "--seed", "1"],
+            ["relay-attack", "--seed", "1", "--transport", "tcp"],
+            ["relay-app", "--connect", "127.0.0.1:1", "--se", "inproc"],
+        ],
+    )
+    def test_is_usage_error(self, argv, tmp_path, capsys):
+        path = tmp_path / "latency.json"
+        path.write_text('{"internal_high": 1e308, "wifi_overhead_high": 1e308}')
+        with pytest.raises(SystemExit) as exc_info:
+            main([*argv, "--latency-params", str(path)])
+        assert exc_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.endswith(
+            f"error: {path}: internal_high + wifi_overhead_high overflows the largest delay\n"
+        )
+        assert captured.out == ""
+
+
 class TestRelayApp:
     def test_bad_se_address_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc_info:

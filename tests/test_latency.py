@@ -1,9 +1,13 @@
 import hashlib
 import math
 import random
+import select
+import socket
 import statistics
 import struct
 import sys
+import threading
+import time
 from bisect import bisect_right
 from dataclasses import replace
 
@@ -101,6 +105,42 @@ class TestClocks:
         before = clock.now_ms()
         clock.sleep_ms(15.0)
         assert clock.now_ms() - before >= 14.0
+
+    def test_virtual_clock_stops_at_the_limit(self):
+        clock = VirtualClock(start_ms=10.0)
+        assert clock.sleep_ms(40.0, 40.0) is True  # a delay that fits its limit elapses
+        assert clock.now_ms() == 50.0
+        assert clock.sleep_ms(1323.7, 450.0) is False
+        assert clock.now_ms() == 500.0
+        assert clock.sleep_ms(0.0, 0.0) is True
+        assert clock.now_ms() == 500.0
+
+    def test_wall_clock_stops_at_the_limit(self):
+        clock = WallClock()
+        before = clock.now_ms()
+        assert clock.sleep_ms(5000.0, 20.0) is False
+        assert 19.0 <= clock.now_ms() - before < 1000.0
+
+    def test_zero_delay_makes_no_syscall(self, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("a zero delay must not block")
+
+        monkeypatch.setattr(select, "select", refuse)
+        monkeypatch.setattr(time, "sleep", refuse)
+        assert WallClock().sleep_ms(0.0, wake=object()) is True
+
+    def test_peer_close_wakes_the_wall_clock(self):
+        near, far = socket.socketpair()
+        closer = threading.Timer(0.05, far.close)
+        try:
+            clock = WallClock()
+            before = clock.now_ms()
+            closer.start()
+            assert clock.sleep_ms(5000.0, wake=near) is False
+            assert clock.now_ms() - before < 1000.0
+        finally:
+            closer.join()
+            near.close()
 
 
 # The perf benchmark's zero-delay parameters and a heavy, wide-spread mix:
@@ -286,6 +326,34 @@ class TestParamValidation:
     def test_overflowing_log_normal_rejected(self, kwargs, key):
         with pytest.raises(ValueError, match=f"^{key} overflows the log-normal draw"):
             LatencyParams(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, keys",
+        [
+            ({"internal_high": 1e308, "wifi_overhead_high": 1e308},
+             "internal_high + wifi_overhead_high"),
+            ({"external_sd": 1e308}, "external_mean + external_sd"),
+            ({"internal_high": 1e308, "internet_heavy_floor": 1e308},
+             "internal_high + internet_heavy_floor"),
+            ({"internet_floor": 1.79e308, "internet_fast_mode": 1e305},
+             "internal_high + internet_floor"),
+        ],
+    )
+    def test_overflowing_largest_delay_rejected(self, kwargs, keys):
+        # each value is finite, but the largest delay a path can draw is not
+        with pytest.raises(ValueError) as exc_info:
+            LatencyParams(**kwargs)
+        assert str(exc_info.value) == f"{keys} overflows the largest delay"
+
+    def test_largest_delay_bound_is_tight(self):
+        # the wifi band's top sums to the largest finite float and is accepted;
+        # one step further overflows
+        top = sys.float_info.max / 2
+        params = LatencyParams(internal_low=top, internal_high=top,
+                               wifi_overhead_low=top, wifi_overhead_high=top)
+        assert LatencyModel(AccessPath.RELAY_WIFI, 0, params).sample_at(0) == sys.float_info.max
+        with pytest.raises(ValueError, match="^internal_high \\+ wifi_overhead_high"):
+            replace(params, wifi_overhead_high=math.nextafter(top, math.inf))
 
     def test_sigma_bound_is_the_largest_exponent(self):
         # |z| of a Box-Muller normal on 53-bit uniforms peaks where

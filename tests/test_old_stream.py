@@ -16,7 +16,7 @@ from test_cli import sha256
 from test_latency import sample_grid_digest, stdlib_reference
 from test_report_identity import GOLDEN_RUNS, UNTIMED_RUNS, report_digest
 
-REPORT_DIGEST = "56038ea225f88b91218219af52b59020cf5bf189bc39f72662d45a22cded1f9b"
+REPORT_DIGEST = "a160af8da273b38159d2f781d4bf2f93296235569d655e1334459cf2a688c3b8"
 UNTIMED_REPORT_DIGEST = "ddcb40a5891f19b221e07700a29706b91cf8a9e7d353c852b2aa354ad5340931"
 GRID_DIGEST = "ca9f1e273eda360198440ea314f0e1f00843bc7c677a7db4954a1441b1fc6ce6"
 BENCH_SUMMARY_LINES = [

@@ -1,13 +1,15 @@
 import contextlib
+import random
 import socket
 import threading
+import time
 
 import pytest
 
-from genutil import SELECT_PPSE_C, SELECT_PPSE_R
+from genutil import SELECT_PPSE_C, SELECT_PPSE_R, SELECT_WALLET_C, UNLOCK_C
 from serelay.apdu import CommandApdu
 from serelay.hexutil import format_hex, parse_hex
-from serelay.latency import AccessPath, LatencyModel, VirtualClock
+from serelay.latency import AccessPath, LatencyModel, LatencyParams, VirtualClock
 from serelay.profile import CountermeasurePolicy
 from serelay.relay import (
     ActivationRefused,
@@ -352,3 +354,105 @@ class TestSecureElementHost:
             emulator.exchange(parse_hex(SELECT_PPSE_C))
         assert not relay.session_open
         assert se.wallet_locked
+
+
+def send_in_pieces(sock: socket.socket, raw: bytes, r: random.Random) -> None:
+    """Send ``raw`` cut at random points, pausing now and then between pieces."""
+    cuts = sorted(r.sample(range(1, len(raw)), min(len(raw) - 1, r.randrange(4))))
+    for start, end in zip([0, *cuts], [*cuts, len(raw)]):
+        sock.sendall(raw[start:end])
+        if r.random() < 0.3:
+            time.sleep(0.001)
+
+
+def frame(kind: FrameKind, payload: bytes = b"") -> bytes:
+    return WireFrame(kind, payload).encode()
+
+
+# what a misbehaving peer sends last, after which it hangs up
+BAD_ENDINGS = {
+    "unknown_kind": b"\x7f\x00\x00",
+    "truncated_payload": b"\x03\x00\x0a\x00\xa4\x04",
+    "truncated_header": b"\x03\x00",
+    "payload_on_close": b"\x02\x00\x01\xff",
+    "oversized_length": b"\x04\xff\xff" + bytes(100),
+}
+
+
+class TestServeAgainstBadPeers:
+    """``serve`` over a socketpair, fed frames in random pieces, then garbage."""
+
+    @staticmethod
+    def start(endpoint, near):
+        errors = []
+
+        def serve():
+            try:
+                endpoint.serve(SocketTransport(near))
+            except Exception as exc:  # anything escaping serve is a traceback
+                errors.append(exc)
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        return thread, errors
+
+    @pytest.mark.parametrize("ending", sorted(BAD_ENDINGS))
+    @pytest.mark.parametrize("role", ["relay_app", "se_host"])
+    @pytest.mark.parametrize("trial", range(3))
+    def test_loop_exits_with_the_wallet_locked(self, trial, role, ending):
+        r = random.Random(f"{trial}:{role}:{ending}")
+        se = SecureElement()
+        endpoint = RelayApp(se) if role == "relay_app" else SecureElementHost(se)
+        near, far = socket.socketpair()
+        thread, errors = self.start(endpoint, near)
+        peer = SocketTransport(far)
+        try:
+            send_in_pieces(far, frame(FrameKind.SESSION_OPEN), r)
+            assert peer.recv_frame(timeout_ms=2000).kind is FrameKind.SESSION_OPEN
+            if role == "se_host":  # the host's peer unlocks the wallet itself
+                for capdu in (SELECT_WALLET_C, UNLOCK_C):
+                    send_in_pieces(far, frame(FrameKind.C_APDU, parse_hex(capdu)), r)
+                    assert peer.recv_frame(timeout_ms=2000).payload == b"\x90\x00"
+            assert not se.wallet_locked
+            for _ in range(r.randrange(3)):
+                # a frame of a kind the endpoint does not take is answered, not fatal
+                kind = r.choice((FrameKind.C_APDU, FrameKind.R_APDU, FrameKind.ERROR))
+                send_in_pieces(far, frame(kind, parse_hex(SELECT_PPSE_C)), r)
+                reply = peer.recv_frame(timeout_ms=2000)
+                expected = FrameKind.R_APDU if kind is FrameKind.C_APDU else FrameKind.ERROR
+                assert reply.kind is expected
+            send_in_pieces(far, BAD_ENDINGS[ending], r)
+        finally:
+            peer.close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert errors == []
+        assert se.wallet_locked
+        assert not endpoint.session_open
+
+    def test_peer_hanging_up_cuts_the_relay_wait_short(self):
+        # every delay is over 5 s; the peer hangs up after 50 ms, and the relay
+        # ends its session then without handing the command to the SE
+        params = LatencyParams(internet_heavy_weight=1, internet_heavy_floor=5000)
+        se = SecureElement()
+        seen = []
+        process = se.process
+        se.process = lambda origin, cmd: seen.append(cmd.to_bytes()) or process(origin, cmd)
+        relay = RelayApp(se, model=LatencyModel(AccessPath.RELAY_INTERNET, 1, params))
+        near, far = socket.socketpair()
+        thread, errors = self.start(relay, near)
+        peer = SocketTransport(far)
+        try:
+            peer.send_frame(WireFrame(FrameKind.SESSION_OPEN))
+            assert peer.recv_frame(timeout_ms=2000).kind is FrameKind.SESSION_OPEN
+            peer.send_frame(WireFrame(FrameKind.C_APDU, parse_hex(SELECT_PPSE_C)))
+            time.sleep(0.05)
+            started = time.monotonic()
+        finally:
+            peer.close()
+        thread.join(timeout=5)
+        assert time.monotonic() - started < 1.0
+        assert not thread.is_alive()
+        assert errors == []
+        assert se.wallet_locked
+        assert parse_hex(SELECT_PPSE_C) not in seen

@@ -34,7 +34,7 @@ RELAY_PINS = (None, "1234", "9999")
 CEILINGS = (None, 300.0)
 DIRECT_POLICIES = (("none", None), ("pin_required", None), ("pin_required", "1234"))
 
-GOLDEN_DIGEST = "261c7ccbc2ad9c293048b2f62cb26c5af47068722e260dbce0441aaa9986f0a1"
+GOLDEN_DIGEST = "8d637eaba54caad6a0358a45e0baf9385b38ee79457030b7c7cbffe3abac9a0a"
 GOLDEN_RUNS = 1008
 UNTIMED_DIGEST = "4c9a76ebb848a17f0c764e90d545b8ca36de3528e39687161e52a534b1aaa837"
 UNTIMED_RUNS = 944

@@ -419,7 +419,7 @@ class TestTimeout:
 
     def test_total_time_reflects_injected_delays(self):
         report = self.run_with_ceiling(500.0)
-        assert report.total_ms > 500.0
+        assert report.total_ms == 500.0
 
 
 class TestTransactionStep:
