@@ -1,20 +1,18 @@
 """Round-trip delay benchmark harness with histogram binning and CSV export.
 
-Repeats one command/response cycle through a chosen access path and bins
-the reader-side round-trip delays. The default layout is 160 bins of 50 ms
-where the last bin collects everything at or above 7950 ms; zoomed layouts
-are a matter of passing a different width/count.
+Checks once that the chosen access path answers the workload command, then
+draws the path's modelled round-trip delays and bins them. The default
+layout is 160 bins of 50 ms where the last bin collects everything at or
+above 7950 ms; zoomed layouts are a matter of passing a different
+width/count.
 
-By default the binned value per repetition is the sampled path delay alone,
-which keeps seeded runs bit-identical across repeats. Opting into
-``include_compute_time`` adds the host's actual processing time for the
-command; at desk scale that is microseconds and vanishes next to the
-models, but it makes the bin counts subject to scheduler jitter.
+The binned value per repetition is the sampled path delay alone, so seeded
+runs are bit-identical across repeats; the host's own compute time never
+enters the modelled milliseconds.
 """
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -140,7 +138,6 @@ class BenchmarkSpec:
     bin_width_ms: float = 50.0
     bin_count: int = 160
     params: Optional[LatencyParams] = None
-    include_compute_time: bool = False
 
     def __post_init__(self) -> None:
         if self.repetitions <= 0:
@@ -148,7 +145,7 @@ class BenchmarkSpec:
 
 
 def run_benchmark(spec: BenchmarkSpec, se: Optional[SecureElement] = None) -> Histogram:
-    """Measure ``spec.repetitions`` command/response round trips."""
+    """Bin ``spec.repetitions`` modelled round-trip delays of ``spec.path``."""
     return sample_benchmark(spec, se)[0]
 
 
@@ -158,14 +155,14 @@ def sample_benchmark(
 ):
     """Like :func:`run_benchmark`, also returning the modelled delays in order.
 
-    The delays are the latency model's samples alone, without host compute
-    time even when ``spec.include_compute_time`` adds it to the histogram.
+    Each spec's path first gets one availability exchange of the workload
+    command, on a fresh SE of its own (or on ``se``); a failure raises
+    :class:`BenchmarkError` before any delay is drawn.
 
     Given a sequence of specs that share seed, repetitions, command and
     params, it returns one ``(histogram, delays)`` pair per spec, each equal
-    to what the spec gives alone. The runs go index-major: each repetition
-    draws every path's delay from the index's one generator, then exchanges
-    the command once per spec, each spec on a fresh SE of its own.
+    to what the spec gives alone. The draw goes index-major: each repetition
+    takes every path's delay from the index's one digest.
     """
     if isinstance(spec, BenchmarkSpec):
         return _sample_index_major([spec], [se if se is not None else SecureElement()])[0]
@@ -187,32 +184,30 @@ def _sample_index_major(
         raise BenchmarkError(f"workload command does not parse: {exc}") from exc
     params = first.params if first.params is not None else LatencyParams()
     paths = list(dict.fromkeys(s.path for s in specs))
-    runs = []
     for s, se in zip(specs, ses):
         origin = (
             ChannelOrigin.CONTACTLESS
             if s.path is AccessPath.DIRECT_EXTERNAL
             else ChannelOrigin.INTERNAL
         )
-        hist = Histogram(bin_width_ms=s.bin_width_ms, bin_count=s.bin_count)
-        runs.append((s, se, origin, hist, []))
         se.open_session(origin)
-    for index in range(first.repetitions):
-        delays = sample_paths_at(paths, first.seed, index, params)
-        for s, se, origin, hist, modelled in runs:
-            delay = delays[s.path]
-            modelled.append(delay)
-            if s.include_compute_time:
-                started = time.perf_counter()
-                resp = se.process(origin, cmd)
-                delay += (time.perf_counter() - started) * 1000.0
-            else:
-                resp = se.process(origin, cmd)
-            if not resp.is_success:
-                raise BenchmarkError(
-                    f"path {s.path.value} unavailable: workload answered {resp.sw:04X}"
-                )
+        try:
+            resp = se.process(origin, cmd)
+        finally:
+            se.close_session(origin)
+        if not resp.is_success:
+            raise BenchmarkError(
+                f"path {s.path.value} unavailable: workload answered {resp.sw:04X}"
+            )
+    draws = [
+        sample_paths_at(paths, first.seed, index, params)
+        for index in range(first.repetitions)
+    ]
+    results = []
+    for s in specs:
+        hist = Histogram(bin_width_ms=s.bin_width_ms, bin_count=s.bin_count)
+        modelled = [draw[s.path] for draw in draws]
+        for delay in modelled:
             hist.add(delay)
-    for _s, se, origin, *_ in runs:
-        se.close_session(origin)
-    return [(hist, modelled) for *_, hist, modelled in runs]
+        results.append((hist, modelled))
+    return results

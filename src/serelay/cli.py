@@ -193,7 +193,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             bin_width_ms=args.bin_width,
             bin_count=args.bins,
             params=params,
-            include_compute_time=args.include_compute,
         )
         for path in paths
     ]
@@ -424,11 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins", type=_positive_int, default=160)
     p.add_argument("--ascii", action="store_true", help="print bar charts")
     p.add_argument("--out", help="directory for per-path CSV files")
-    p.add_argument(
-        "--include-compute",
-        action="store_true",
-        help="add measured host compute time to each binned delay",
-    )
 
     p = role("decode", cmd_decode, "pretty-print hex APDUs or TLV")
     p.add_argument("hex", nargs="?", help="hex string (stdin when omitted)")

@@ -1,4 +1,3 @@
-import itertools
 from dataclasses import replace
 
 import pytest
@@ -149,41 +148,6 @@ class TestRunBenchmark:
         # bins 10..16 cover 50-85 ms (the 80.0 boundary lands in bin 16)
         assert sum(hist.counts[10:17]) == 1000
 
-    def test_compute_time_opt_in(self):
-        spec = BenchmarkSpec(
-            path=AccessPath.DIRECT_EXTERNAL,
-            repetitions=200,
-            seed=4,
-            include_compute_time=True,
-        )
-        hist = run_benchmark(spec)
-        assert hist.total == 200
-
-    def test_compute_time_adds_exactly_the_clock(self, monkeypatch):
-        # a clock that steps 1 ms per read: each exchange then "costs" 1 ms
-        ticks = itertools.count()
-        monkeypatch.setattr(bench.time, "perf_counter", lambda: next(ticks) / 1000.0)
-        spec = BenchmarkSpec(
-            path=AccessPath.DIRECT_EXTERNAL,
-            repetitions=300,
-            seed=4,
-            bin_width_ms=1.0,
-            bin_count=200,
-        )
-        plain_hist, plain_delays = sample_benchmark(spec)
-        timed_hist, timed_delays = sample_benchmark(replace(spec, include_compute_time=True))
-
-        def binned(delays):
-            hist = Histogram(bin_width_ms=1.0, bin_count=200)
-            for delay in delays:
-                hist.add(delay)
-            return hist
-
-        assert timed_delays == plain_delays
-        assert plain_hist == binned(plain_delays)
-        assert timed_hist == binned(d + 1.0 for d in plain_delays)
-        assert timed_hist != plain_hist
-
     def test_internet_majority_above_one_second(self):
         spec = BenchmarkSpec(path=AccessPath.RELAY_INTERNET, repetitions=1000, seed=3)
         hist = run_benchmark(spec)
@@ -213,6 +177,34 @@ class TestRunBenchmark:
         )
         spec = BenchmarkSpec(path=AccessPath.DIRECT_EXTERNAL, repetitions=10, seed=0)
         with pytest.raises(BenchmarkError):
+            run_benchmark(spec, se=se)
+
+    @pytest.mark.parametrize("repetitions", [1, 500])
+    def test_one_exchange_per_run(self, repetitions):
+        class CountingSecureElement(SecureElement):
+            calls = 0
+
+            def process(self, origin, cmd):
+                self.calls += 1
+                return super().process(origin, cmd)
+
+        se = CountingSecureElement()
+        spec = BenchmarkSpec(path=AccessPath.RELAY_WIFI, repetitions=repetitions, seed=0)
+        assert run_benchmark(spec, se=se).total == repetitions
+        assert se.calls == 1
+
+    def test_unavailable_path_aborts_before_any_draw(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("a delay was drawn")
+
+        monkeypatch.setattr(bench, "sample_paths_at", no_draw)
+        profile = CardProfile()
+        se = SecureElement(
+            profile=profile,
+            applets=(PpseApplet(), PaymentApplet(profile), WalletControlApplet()),
+        )
+        spec = BenchmarkSpec(path=AccessPath.DIRECT_INTERNAL, repetitions=10, seed=0)
+        with pytest.raises(BenchmarkError, match="path internal unavailable"):
             run_benchmark(spec, se=se)
 
     def test_bad_spec_rejected(self):

@@ -160,9 +160,9 @@ class TestBench:
         assert rc == 0
         assert "median_ms>1000: true" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("extra", [[], ["--include-compute"]])
+    @pytest.mark.parametrize("extra", [[]])
     def test_summary_lines_pinned(self, capsys, extra):
-        # min/median/max come from the modelled delays alone, compute time or not
+        # min/median/max come from the modelled delays alone
         rc = main(["bench", "--path", "all", "--reps", "200", "--seed", "3", *extra])
         assert rc == 0
         assert capsys.readouterr().out.splitlines() == [
@@ -173,7 +173,7 @@ class TestBench:
             " median_ms>1000: true",
         ]
 
-    @pytest.mark.parametrize("extra", [[], ["--include-compute"]])
+    @pytest.mark.parametrize("extra", [[]])
     def test_all_paths_output_pinned(self, tmp_path, capsys, extra):
         # digests captured when the latency draw became a keyed hash
         rc = main(
@@ -186,8 +186,6 @@ class TestBench:
         assert sha256(summaries) == (
             "118fa1d63ca2dd4f798824f560db6caba8add241b9444fcba574888c60de1126"
         )
-        if extra:  # host compute time may move a delay across a bin edge
-            return
         assert sha256(out) == "bbbef07fb50cf649f336e6e85990e886e20144fb27eace9cb246888079051d2d"
         assert {p.name: sha256(p.read_text()) for p in tmp_path.glob("*.csv")} == {
             "external.csv": "3f4934e36cd1b700f5bfb8e73744bc0d914a17b96ac380d76c9b74eeb51cfc0c",
@@ -208,6 +206,12 @@ class TestBench:
         with pytest.raises(SystemExit) as exc_info:
             main(["bench", "--reps", "0"])
         assert exc_info.value.code == 2
+
+    def test_include_compute_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["bench", "--include-compute"])
+        assert exc_info.value.code == 2
+        assert "unrecognized arguments: --include-compute" in capsys.readouterr().err
 
     def test_ascii_chart(self, capsys):
         rc = main(["bench", "--path", "external", "--reps", "100", "--seed", "5", "--ascii"])

@@ -57,7 +57,7 @@ def test_sample_grid():
     assert sample_grid_digest() == GRID_DIGEST
 
 
-@pytest.mark.parametrize("extra", [[], ["--include-compute"]])
+@pytest.mark.parametrize("extra", [[]])
 def test_bench_output(tmp_path, capsys, extra):
     rc = main(
         ["bench", "--path", "all", "--reps", "200", "--seed", "3", "--ascii",
@@ -68,7 +68,5 @@ def test_bench_output(tmp_path, capsys, extra):
     summaries = [line for line in out.splitlines() if "reps=" in line]
     assert summaries == BENCH_SUMMARY_LINES
     assert sha256("".join(line + "\n" for line in summaries)) == BENCH_SUMMARY_DIGEST
-    if extra:  # host compute time may move a delay across a bin edge
-        return
     assert sha256(out) == BENCH_OUTPUT_DIGEST
     assert {p.name: sha256(p.read_text()) for p in tmp_path.glob("*.csv")} == BENCH_CSV_DIGESTS
