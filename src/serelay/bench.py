@@ -1,10 +1,10 @@
 """Round-trip delay benchmark harness with histogram binning and CSV export.
 
-Checks once that the chosen access path answers the workload command, then
-draws the path's modelled round-trip delays and bins them. The default
-layout is 160 bins of 50 ms where the last bin collects everything at or
-above 7950 ms; zoomed layouts are a matter of passing a different
-width/count.
+Checks once that each chosen access path answers a SELECT of the card
+manager, on one secure element shared by every path, then draws the paths'
+modelled round-trip delays and bins them. The default layout is 160 bins of
+50 ms where the last bin collects everything at or above 7950 ms; zoomed
+layouts are a matter of passing a different width/count.
 
 The binned value per repetition is the sampled path delay alone, so seeded
 runs are bit-identical across repeats; the host's own compute time never
@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
-from .apdu import CommandApdu
 from .latency import AccessPath, LatencyParams, sample_paths_at
 from .secure_element import ChannelOrigin, ISD_PREFIX_AID, SecureElement, select_command
 
@@ -129,12 +128,11 @@ def render_ascii(hist: Histogram, max_width: int = 60) -> str:
 
 @dataclass(frozen=True)
 class BenchmarkSpec:
-    """One benchmark run: path, workload command, repetitions and layout."""
+    """One benchmark run: path, repetitions, seed, layout and delay params."""
 
     path: AccessPath = AccessPath.DIRECT_EXTERNAL
     repetitions: int = 5000
     seed: int = 0
-    command: bytes = BENCH_SELECT_APDU
     bin_width_ms: float = 50.0
     bin_count: int = 160
     params: Optional[LatencyParams] = None
@@ -146,45 +144,32 @@ class BenchmarkSpec:
 
 def run_benchmark(spec: BenchmarkSpec, se: Optional[SecureElement] = None) -> Histogram:
     """Bin ``spec.repetitions`` modelled round-trip delays of ``spec.path``."""
-    return sample_benchmark(spec, se)[0]
+    return sample_benchmark([spec], se)[0][0]
 
 
 def sample_benchmark(
-    spec: Union[BenchmarkSpec, Sequence[BenchmarkSpec]],
-    se: Optional[SecureElement] = None,
-):
-    """Like :func:`run_benchmark`, also returning the modelled delays in order.
-
-    Each spec's path first gets one availability exchange of the workload
-    command, on a fresh SE of its own (or on ``se``); a failure raises
-    :class:`BenchmarkError` before any delay is drawn.
-
-    Given a sequence of specs that share seed, repetitions, command and
-    params, it returns one ``(histogram, delays)`` pair per spec, each equal
-    to what the spec gives alone. The draw goes index-major: each repetition
-    takes every path's delay from the index's one digest.
-    """
-    if isinstance(spec, BenchmarkSpec):
-        return _sample_index_major([spec], [se if se is not None else SecureElement()])[0]
-    if se is not None:
-        raise ValueError("se serves a single spec")
-    specs = list(spec)
-    return _sample_index_major(specs, [SecureElement() for _ in specs])
-
-
-def _sample_index_major(
-    specs: list[BenchmarkSpec], ses: list[SecureElement]
+    specs: Sequence[BenchmarkSpec], se: Optional[SecureElement] = None
 ) -> list[tuple[Histogram, list[float]]]:
-    if len({(s.seed, s.repetitions, s.command, s.params) for s in specs}) != 1:
-        raise ValueError("specs must share seed, repetitions, command and params")
+    """Like :func:`run_benchmark` per spec, also returning the delays in order.
+
+    Each spec's path first gets one availability exchange on ``se`` (default:
+    one fresh SE): open its channel, SELECT the card manager, close. That
+    exchange leaves nothing behind, so one SE serves every spec. A failure
+    raises :class:`BenchmarkError` before any delay is drawn.
+
+    The specs must share seed, repetitions and params. The result holds one
+    ``(histogram, delays)`` pair per spec, each equal to what the spec gives
+    alone. The draw goes index-major: each repetition takes every path's
+    delay from the index's one digest.
+    """
+    if len({(s.seed, s.repetitions, s.params) for s in specs}) != 1:
+        raise ValueError("specs must share seed, repetitions and params")
+    if se is None:
+        se = SecureElement()
     first = specs[0]
-    try:
-        cmd = CommandApdu.parse(first.command)
-    except Exception as exc:
-        raise BenchmarkError(f"workload command does not parse: {exc}") from exc
     params = first.params if first.params is not None else LatencyParams()
     paths = list(dict.fromkeys(s.path for s in specs))
-    for s, se in zip(specs, ses):
+    for s in specs:
         origin = (
             ChannelOrigin.CONTACTLESS
             if s.path is AccessPath.DIRECT_EXTERNAL
@@ -192,7 +177,7 @@ def _sample_index_major(
         )
         se.open_session(origin)
         try:
-            resp = se.process(origin, cmd)
+            resp = se.process(origin, select_command(ISD_PREFIX_AID))
         finally:
             se.close_session(origin)
         if not resp.is_success:

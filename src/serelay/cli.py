@@ -12,6 +12,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import math
 import socket
@@ -347,6 +348,7 @@ def cmd_emulator(args: argparse.Namespace) -> int:
     return _finish_relay(result, args.out)
 
 
+@functools.cache  # parsing leaves no state behind, so one parser serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="serelay",

@@ -10,10 +10,10 @@ payload byte is a reason code.
 A session endpoint owns one SE channel and delays every C-APDU by the access
 path before the one hop into the SE; a direct run is a plain endpoint. The
 phone-side relay app, on the internal channel, selects the wallet's on-card
-component, unlocks the wallet and probes the payment applet on session open;
-on any teardown (explicit close or transport loss) it locks the wallet
-again, so a terminated session can never leave the card spendable. The SE
-host shares the same session state machine.
+component, unlocks the wallet and probes the payment applet on session open.
+Every session end (clean close, dead SE hop, cut-short wait, lost transport)
+goes through :meth:`SessionEndpoint.end_session`, where the relay app and the
+SE host both lock the wallet, so an ended session never leaves it spendable.
 """
 from __future__ import annotations
 
@@ -244,7 +244,7 @@ class InProcessTransport:
     def close(self) -> None:
         if not self._closed:
             self._closed = True
-            self._handler.on_transport_lost()
+            self._handler.end_session()
 
 
 def se_exchange(se, origin: ChannelOrigin, capdu: bytes) -> bytes:
@@ -280,12 +280,13 @@ def unlock_wallet(se, pin: Optional[str] = None) -> Optional[WireFrame]:
 class SessionEndpoint:
     """Frame state machine of an endpoint that owns one of an SE's channels.
 
-    One session lives per connection. Subclasses decide what opening,
-    closing and losing the session do. A C-APDU waits ``model``'s next delay
-    on ``clock`` up to the nearer of ``hard_ceiling_ms`` and the caller's
-    deadline, then takes :func:`se_exchange` on ``origin``; a wait cut short
-    ends the session instead, with a TIMEOUT error if the ceiling cut it. A
-    remote SE that vanishes mid-session ends the session with ACCESS_DENIED.
+    One session lives per connection, and every end of it takes
+    :meth:`end_session`; subclasses decide what opening and closing do. A
+    C-APDU waits ``model``'s next delay on ``clock`` up to the nearer of
+    ``hard_ceiling_ms`` and the caller's deadline, then takes
+    :func:`se_exchange` on ``origin``; a wait cut short ends the session
+    instead, with a TIMEOUT error if the ceiling cut it. A remote SE that
+    vanishes mid-session ends the session with ACCESS_DENIED.
     """
 
     def __init__(self, se, origin=ChannelOrigin.INTERNAL, model=None, clock=None):
@@ -304,15 +305,18 @@ class SessionEndpoint:
     def _close(self) -> None:
         self.se.close_session(self.origin)
 
-    def _lost(self) -> None:
-        self._close()
+    def end_session(self) -> None:
+        if self.session_open:
+            logger.info("ending the open session")
+            self.session_open = False
+            self._close()
 
     def _relay(self, capdu: bytes, deadline_ms: Optional[float], wake) -> list[WireFrame]:
         delay_ms = self.model.sample_ms() if self.model is not None else 0.0
         limit = min(x for x in (self.hard_ceiling_ms, deadline_ms, math.inf) if x is not None)
         if self.clock.sleep_ms(delay_ms, limit, wake):
             return [WireFrame(FrameKind.R_APDU, se_exchange(self.se, self.origin, capdu))]
-        self.on_transport_lost()  # the command never reaches the SE
+        self.end_session()  # the command never reaches the SE
         if limit == self.hard_ceiling_ms:
             return [error_frame(ErrorReason.TIMEOUT, f"{delay_ms:.0f}ms")]
         return []
@@ -331,9 +335,7 @@ class SessionEndpoint:
             self.session_open = True
             return [WireFrame(FrameKind.SESSION_OPEN)]
         if frame.kind is FrameKind.SESSION_CLOSE:
-            if self.session_open:
-                self.session_open = False
-                self._close()
+            self.end_session()
             return [WireFrame(FrameKind.SESSION_CLOSE)]
         if frame.kind is FrameKind.C_APDU:
             if not self.session_open:
@@ -341,16 +343,9 @@ class SessionEndpoint:
             try:
                 return self._relay(frame.payload, deadline_ms, wake)
             except SessionFailed:
-                self.session_open = False
-                self._close()
+                self.end_session()
                 return [error_frame(ErrorReason.ACCESS_DENIED, "SE unreachable")]
         return [error_frame(ErrorReason.SESSION_STATE, f"unexpected {frame.kind.name}")]
-
-    def on_transport_lost(self) -> None:
-        if self.session_open:
-            logger.info("session lost while open; ending it")
-            self.session_open = False
-            self._lost()
 
     def serve(self, transport: Transport) -> None:
         """Drive one connection until the peer goes away, which also ends a wait."""
@@ -361,7 +356,7 @@ class SessionEndpoint:
         except (TransportClosed, RelayProtocolError):
             pass
         finally:
-            self.on_transport_lost()
+            self.end_session()
             transport.close()
 
 
@@ -413,16 +408,16 @@ class RelayApp(SessionEndpoint):
 class SecureElementHost(SessionEndpoint):
     """Serves a secure element's internal channel over the wire protocol.
 
-    Lets the relay app run in a different process from the SE. Transport
-    loss with a session open locks the wallet defensively, preserving the
-    session-hygiene guarantee across a distributed deployment. The lock is
-    a direct call, not an APDU: a policy that disables the wallet's on-card
-    component internally would refuse the lock command.
+    Lets the relay app run in a different process from the SE. Every session
+    end, a clean close as much as transport loss, locks the wallet, keeping
+    the session-hygiene guarantee across a distributed deployment. The lock
+    is a direct call, not an APDU: a policy that disables the wallet's
+    on-card component internally would refuse the lock command.
     """
 
-    def _lost(self) -> None:
+    def _close(self) -> None:
         self.se.lock_wallet()
-        self._close()
+        super()._close()
 
 
 class SessionClient:

@@ -56,14 +56,12 @@ def run_pos_direct(
     path: Optional[AccessPath] = None,
     latency_params: Optional[LatencyParams] = None,
     timeout_ms: Optional[float] = None,
-    fixed_un: Optional[bytes] = None,
     atc: int = 0,
-    clock=None,
 ) -> TransactionReport:
     """One terminal transaction through a plain session endpoint on ``origin``."""
     seed = resolve_seed(seed)
-    cfg = TerminalConfig(timeout_ms=timeout_ms, seed=seed, fixed_un=fixed_un)
-    clock = clock if clock is not None else VirtualClock()
+    cfg = TerminalConfig(timeout_ms=timeout_ms, seed=seed)
+    clock = VirtualClock()
     if se is None:
         se = SecureElement(profile=profile, policy=policy, atc=atc)
     if unlock and unlock_wallet(se, pin) is not None:
@@ -101,7 +99,6 @@ def run_relay_attack(
     hard_ceiling_ms: Optional[float] = None,
     transport: str = "inproc",
     atc: int = 0,
-    clock=None,
 ) -> RelayAttackResult:
     """Full relay attack: terminal -> emulator -> relay app -> secure element."""
     seed = resolve_seed(seed)
@@ -109,7 +106,7 @@ def run_relay_attack(
     if se is None:
         se = SecureElement(profile=profile, policy=policy, atc=atc)
     if transport == "inproc":
-        clock = clock if clock is not None else VirtualClock()
+        clock = VirtualClock()
     elif transport == "tcp":
         clock = WallClock()
     else:

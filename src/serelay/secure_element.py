@@ -428,14 +428,12 @@ class SecureElement:
     # -- session plumbing ---------------------------------------------------
 
     def open_session(self, origin: ChannelOrigin) -> None:
+        """Opening and closing both reset the channel: nothing selected, PIN unverified."""
         self.selected[origin] = None
         if origin is ChannelOrigin.INTERNAL:
             self.pin_verified = False
 
-    def close_session(self, origin: ChannelOrigin) -> None:
-        self.selected[origin] = None
-        if origin is ChannelOrigin.INTERNAL:
-            self.pin_verified = False
+    close_session = open_session
 
     def lock_wallet(self) -> None:
         """Lock and drop any non-wallet selection on either channel."""

@@ -26,6 +26,14 @@ from serelay.secure_element import (
 )
 
 
+class CountingSecureElement(SecureElement):
+    calls = 0
+
+    def process(self, origin, cmd):
+        self.calls += 1
+        return super().process(origin, cmd)
+
+
 class TestHistogram:
     def test_default_layout(self):
         hist = Histogram()
@@ -181,13 +189,6 @@ class TestRunBenchmark:
 
     @pytest.mark.parametrize("repetitions", [1, 500])
     def test_one_exchange_per_run(self, repetitions):
-        class CountingSecureElement(SecureElement):
-            calls = 0
-
-            def process(self, origin, cmd):
-                self.calls += 1
-                return super().process(origin, cmd)
-
         se = CountingSecureElement()
         spec = BenchmarkSpec(path=AccessPath.RELAY_WIFI, repetitions=repetitions, seed=0)
         assert run_benchmark(spec, se=se).total == repetitions
@@ -224,14 +225,13 @@ class TestSampleIndexMajor:
         together = sample_benchmark(specs)
         assert len(together) == len(specs)
         for spec, (hist, delays) in zip(specs, together):
-            alone_hist, alone_delays = sample_benchmark(spec)
+            alone_hist, alone_delays = sample_benchmark([spec])[0]
             assert delays == alone_delays
             assert hist == alone_hist
 
     @pytest.mark.parametrize(
         "field, value",
-        [("seed", 6), ("repetitions", 20), ("command", bytes.fromhex("00A4040000")),
-         ("params", LatencyParams(external_sd=1.0))],
+        [("seed", 6), ("repetitions", 20), ("params", LatencyParams(external_sd=1.0))],
     )
     def test_specs_must_share_the_draw(self, field, value):
         first = BenchmarkSpec(path=AccessPath.DIRECT_EXTERNAL, repetitions=10, seed=5)
@@ -239,10 +239,13 @@ class TestSampleIndexMajor:
         with pytest.raises(ValueError):
             sample_benchmark([first, other])
 
-    def test_se_serves_a_single_spec(self):
-        spec = BenchmarkSpec(repetitions=10)
-        with pytest.raises(ValueError):
-            sample_benchmark([spec, spec], SecureElement())
+    def test_one_se_serves_every_spec(self):
+        se = CountingSecureElement()
+        paths = (AccessPath.DIRECT_EXTERNAL, AccessPath.RELAY_WIFI, AccessPath.DIRECT_INTERNAL)
+        specs = [BenchmarkSpec(path=path, repetitions=50, seed=3) for path in paths]
+        results = sample_benchmark(specs, se=se)
+        assert se.calls == len(specs)
+        assert results == sample_benchmark(specs)
 
 
 class TestAsciiChart:

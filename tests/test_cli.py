@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from serelay.cli import main
+import serelay
+from serelay.cli import build_parser, main
 from serelay.profile import CardProfile, CountermeasurePolicy
 from serelay.secure_element import PREPAID_AID
 
@@ -439,3 +444,26 @@ class TestRelayApp:
             main(["relay-app", "--connect", "127.0.0.1:1", "--se", "bogus"])
         assert exc_info.value.code == 2
         assert "argument --se: 'bogus' is not HOST:PORT" in capsys.readouterr().err
+
+
+class TestParserBuiltOnce:
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_back_to_back_calls_print_what_lone_calls_print(self, capsys):
+        env = {**os.environ, "PYTHONPATH": str(Path(serelay.__file__).parents[1])}
+        for argv in (
+            ["bench", "--reps", "200", "--seed", "1"],
+            ["bench", "--include-compute"],
+            ["bench", "--reps", "200", "--seed", "2"],
+        ):
+            lone = subprocess.run(
+                [sys.executable, "-m", "serelay.cli", *argv],
+                capture_output=True, text=True, env=env, check=False,
+            )
+            try:
+                rc = main(argv)
+            except SystemExit as exc:
+                rc = exc.code
+            captured = capsys.readouterr()
+            assert (rc, captured.out, captured.err) == (lone.returncode, lone.stdout, lone.stderr)

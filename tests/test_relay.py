@@ -369,8 +369,9 @@ def frame(kind: FrameKind, payload: bytes = b"") -> bytes:
     return WireFrame(kind, payload).encode()
 
 
-# what a misbehaving peer sends last, after which it hangs up
-BAD_ENDINGS = {
+# what the peer sends last, after which it hangs up: a clean close or garbage
+ENDINGS = {
+    "clean_close": b"\x02\x00\x00",
     "unknown_kind": b"\x7f\x00\x00",
     "truncated_payload": b"\x03\x00\x0a\x00\xa4\x04",
     "truncated_header": b"\x03\x00",
@@ -380,7 +381,7 @@ BAD_ENDINGS = {
 
 
 class TestServeAgainstBadPeers:
-    """``serve`` over a socketpair, fed frames in random pieces, then garbage."""
+    """``serve`` over a socketpair, fed frames in random pieces, then an ending."""
 
     @staticmethod
     def start(endpoint, near):
@@ -396,7 +397,7 @@ class TestServeAgainstBadPeers:
         thread.start()
         return thread, errors
 
-    @pytest.mark.parametrize("ending", sorted(BAD_ENDINGS))
+    @pytest.mark.parametrize("ending", sorted(ENDINGS))
     @pytest.mark.parametrize("role", ["relay_app", "se_host"])
     @pytest.mark.parametrize("trial", range(3))
     def test_loop_exits_with_the_wallet_locked(self, trial, role, ending):
@@ -421,7 +422,7 @@ class TestServeAgainstBadPeers:
                 reply = peer.recv_frame(timeout_ms=2000)
                 expected = FrameKind.R_APDU if kind is FrameKind.C_APDU else FrameKind.ERROR
                 assert reply.kind is expected
-            send_in_pieces(far, BAD_ENDINGS[ending], r)
+            send_in_pieces(far, ENDINGS[ending], r)
         finally:
             peer.close()
         thread.join(timeout=5)
