@@ -465,7 +465,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     try:
         return args.func(args)
-    except (FileNotFoundError, ValueError) as exc:  # a JSONDecodeError is a ValueError
+    except (OSError, ValueError) as exc:  # FileNotFoundError, JSONDecodeError too
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 

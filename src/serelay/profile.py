@@ -9,7 +9,7 @@ is a fixed test key, so nothing here encodes a real card.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Union
 
@@ -194,9 +194,3 @@ class CountermeasurePolicy(JsonConfig):
         for aid in normalized:
             if not 5 <= len(aid) <= 16:
                 raise ValueError(f"AID {aid.hex()} must be 5-16 bytes")
-
-    def with_internal_disabled(self, *aids: bytes) -> "CountermeasurePolicy":
-        return replace(
-            self,
-            internal_disabled_aids=self.internal_disabled_aids | set(aids),
-        )

@@ -9,11 +9,12 @@ payload byte is a reason code.
 
 A session endpoint owns one SE channel and delays every C-APDU by the access
 path before the one hop into the SE; a direct run is a plain endpoint. The
-phone-side relay app, on the internal channel, selects the wallet's on-card
+phone-side relay app is an SE host that selects the wallet's on-card
 component, unlocks the wallet and probes the payment applet on session open.
 Every session end (clean close, dead SE hop, cut-short wait, lost transport)
-goes through :meth:`SessionEndpoint.end_session`, where the relay app and the
-SE host both lock the wallet, so an ended session never leaves it spendable.
+goes through :meth:`SessionEndpoint.end_session`; on the SE host and the
+relay app it locks the wallet by a direct call, so an ended session never
+leaves it spendable.
 """
 from __future__ import annotations
 
@@ -29,7 +30,6 @@ from .apdu import CommandApdu, MalformedApdu, ResponseApdu
 from .latency import LatencyModel, WallClock
 from .secure_element import (
     ChannelOrigin,
-    LOCK_COMMAND,
     PREPAID_AID,
     SW_WRONG_LENGTH,
     UNLOCK_COMMAND,
@@ -360,14 +360,30 @@ class SessionEndpoint:
             transport.close()
 
 
-class RelayApp(SessionEndpoint):
+class SecureElementHost(SessionEndpoint):
+    """Serves a secure element's internal channel over the wire protocol.
+
+    Lets the relay app run in a different process from the SE. Every session
+    end, a clean close as much as transport loss or a refused open, locks the
+    wallet, keeping the session-hygiene guarantee across a distributed
+    deployment. The lock is a direct call, not an APDU: a policy that
+    disables the wallet's on-card component internally would refuse the lock
+    command.
+    """
+
+    def _close(self) -> None:
+        self.se.lock_wallet()
+        super()._close()
+
+
+class RelayApp(SecureElementHost):
     """Phone-side endpoint bridging the SE's internal channel to the wire.
 
     ``se`` may be a local :class:`~serelay.secure_element.SecureElement` or
-    any object with the same ``open_session``/``process``/``close_session``
-    surface (e.g. a remote client). ``pin`` is the wallet PIN the attacker
-    managed to learn, if any; without it the on-card PIN countermeasure makes
-    the unlock step fail.
+    any object with the same ``open_session``/``process``/``lock_wallet``/
+    ``close_session`` surface (e.g. a remote client). ``pin`` is the wallet
+    PIN the attacker managed to learn, if any; without it the on-card PIN
+    countermeasure makes the unlock step fail. The teardown is the SE host's.
     """
 
     def __init__(
@@ -378,6 +394,8 @@ class RelayApp(SessionEndpoint):
         pin: Optional[str] = None,
         hard_ceiling_ms: Optional[float] = None,
     ):
+        if hard_ceiling_ms is not None and not 0 < hard_ceiling_ms < math.inf:
+            raise ValueError("hard_ceiling_ms must be positive and finite")
         super().__init__(se, model=model, clock=clock)
         self.pin = pin
         self.hard_ceiling_ms = hard_ceiling_ms
@@ -391,33 +409,6 @@ class RelayApp(SessionEndpoint):
         if not probe.is_success:
             return error_frame(ErrorReason.ACCESS_DENIED, "payment applet")
         return None
-
-    def _close(self) -> None:
-        """Re-select the on-card component, lock the wallet, drop the channel."""
-        try:
-            if self.se.process(
-                ChannelOrigin.INTERNAL, select_command(WALLET_AID)
-            ).is_success:
-                self.se.process(ChannelOrigin.INTERNAL, LOCK_COMMAND)
-        except SessionFailed:
-            pass  # a dead remote SE cannot be locked from here
-        finally:
-            self.se.close_session(ChannelOrigin.INTERNAL)
-
-
-class SecureElementHost(SessionEndpoint):
-    """Serves a secure element's internal channel over the wire protocol.
-
-    Lets the relay app run in a different process from the SE. Every session
-    end, a clean close as much as transport loss, locks the wallet, keeping
-    the session-hygiene guarantee across a distributed deployment. The lock
-    is a direct call, not an APDU: a policy that disables the wallet's
-    on-card component internally would refuse the lock command.
-    """
-
-    def _close(self) -> None:
-        self.se.lock_wallet()
-        super()._close()
 
 
 class SessionClient:
@@ -492,6 +483,10 @@ class RemoteSecureElement(SessionClient):
 
     def process(self, origin: ChannelOrigin, cmd: CommandApdu) -> ResponseApdu:
         return ResponseApdu.parse(self.exchange(cmd.to_bytes()))
+
+    def lock_wallet(self) -> None:
+        """End the session: the host locks the wallet at every session end."""
+        self._close()
 
     def close_session(self, origin: ChannelOrigin) -> None:
         self._close()

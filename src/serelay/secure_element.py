@@ -76,7 +76,6 @@ def verify_command(pin: str) -> CommandApdu:
 
 
 UNLOCK_COMMAND = CommandApdu(0x80, INS_LOCK_CTRL, 0x00, P2_UNLOCK, le=0)
-LOCK_COMMAND = CommandApdu(0x80, INS_LOCK_CTRL, 0x00, P2_LOCK, le=0)
 # the data is an empty command template (tag 83): the applet asks for no PDOL
 GPO_COMMAND = CommandApdu(0x80, INS_GPO, 0x00, 0x00, data=b"\x83\x00", le=0)
 

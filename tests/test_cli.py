@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -444,6 +445,18 @@ class TestRelayApp:
             main(["relay-app", "--connect", "127.0.0.1:1", "--se", "bogus"])
         assert exc_info.value.code == 2
         assert "argument --se: 'bogus' is not HOST:PORT" in capsys.readouterr().err
+
+
+class TestSeHost:
+    def test_taken_port_is_one_line_error(self, capsys):
+        with socket.create_server(("127.0.0.1", 0)) as held:
+            port = held.getsockname()[1]
+            with pytest.raises(SystemExit) as exc_info:
+                main(["se-host", "--listen", f"127.0.0.1:{port}", "--once"])
+        assert exc_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: " in err and "Address already in use" in err
+        assert "Traceback" not in err
 
 
 class TestParserBuiltOnce:

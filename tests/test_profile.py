@@ -110,11 +110,6 @@ class TestCountermeasurePolicy:
         with pytest.raises(ValueError):
             CountermeasurePolicy(internal_disabled_aids=frozenset({b"\x01"}))
 
-    def test_with_internal_disabled(self):
-        aid = bytes.fromhex("A0000000041010AA54303200FF01FFFF")
-        policy = CountermeasurePolicy().with_internal_disabled(aid)
-        assert aid in policy.internal_disabled_aids
-
 
 CUSTOM_PAN = "5430111111111112"
 

@@ -1,4 +1,5 @@
 import contextlib
+import math
 import random
 import socket
 import threading
@@ -28,7 +29,8 @@ from serelay.relay import (
     WireFrame,
     error_frame,
 )
-from serelay.secure_element import PREPAID_AID, SecureElement
+from serelay.scenarios import run_relay_attack
+from serelay.secure_element import PREPAID_AID, WALLET_AID, SecureElement
 
 
 class TestWireFrame:
@@ -159,6 +161,34 @@ class TestOpenFailures:
         assert not relay.session_open
 
 
+def _refused_behind_se_host(se) -> str:
+    relay = RelayApp(RemoteSecureElement(InProcessTransport(SecureElementHost(se))))
+    emulator = CardEmulator(InProcessTransport(relay))
+    with pytest.raises(ActivationRefused) as exc_info:
+        emulator.activate_field()
+    emulator.close()
+    return exc_info.value.reason
+
+
+REFUSED_ROUTES = {
+    "inproc": lambda se: run_relay_attack(se=se, seed=1).session_error,
+    "tcp": lambda se: run_relay_attack(se=se, seed=1, transport="tcp").session_error,
+    "se_host": _refused_behind_se_host,
+}
+
+
+@pytest.mark.parametrize("route", REFUSED_ROUTES)
+def test_refused_session_locks_a_wallet_unlocked_before_the_run(route):
+    # the wallet's on-card component is disabled internally, so no LOCK APDU
+    # can reach it: only a direct lock at the session end relocks the wallet
+    se = SecureElement(
+        policy=CountermeasurePolicy(internal_disabled_aids=frozenset({WALLET_AID}))
+    )
+    se.wallet_locked = False
+    assert REFUSED_ROUTES[route](se) == "access_denied"
+    assert se.wallet_locked
+
+
 class TestLatencyInjection:
     def test_injected_delay_reaches_clock(self):
         clock = VirtualClock()
@@ -188,6 +218,17 @@ class TestLatencyInjection:
         emulator.activate_field()
         with pytest.raises(CardRemoved):
             emulator.exchange(parse_hex(SELECT_PPSE_C))
+
+    @pytest.mark.parametrize("transport", ["inproc", "tcp"])
+    @pytest.mark.parametrize("ceiling_ms", [-50.0, 0.0, math.nan, math.inf])
+    def test_hard_ceiling_must_be_positive_and_finite(self, ceiling_ms, transport):
+        def relay_threads():
+            return [t for t in threading.enumerate() if t.name == "relay-app"]
+
+        before = relay_threads()
+        with pytest.raises(ValueError, match="hard_ceiling_ms"):
+            run_relay_attack(seed=1, hard_ceiling_ms=ceiling_ms, transport=transport)
+        assert relay_threads() == before
 
     def test_zero_delay_model(self):
         clock = VirtualClock()
