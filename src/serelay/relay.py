@@ -18,6 +18,7 @@ leaves it spendable.
 """
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import socket
@@ -90,17 +91,22 @@ class ExchangeTimeout(Exception):
     """No response within the caller's deadline."""
 
 
+_BARE_KINDS = (FrameKind.SESSION_OPEN, FrameKind.SESSION_CLOSE)
+
+
 @dataclass(frozen=True)
 class WireFrame:
     kind: FrameKind
     payload: bytes = b""
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "kind", FrameKind(self.kind))
-        object.__setattr__(self, "payload", bytes(self.payload))
-        if self.kind in (FrameKind.SESSION_OPEN, FrameKind.SESSION_CLOSE):
-            if self.payload:
-                raise RelayProtocolError(f"{self.kind.name} frames carry no payload")
+        # the pipeline's own frames already hold the right types
+        if type(self.kind) is not FrameKind:
+            object.__setattr__(self, "kind", FrameKind(self.kind))
+        if type(self.payload) is not bytes:
+            object.__setattr__(self, "payload", bytes(self.payload))
+        if self.payload and self.kind in _BARE_KINDS:
+            raise RelayProtocolError(f"{self.kind.name} frames carry no payload")
         if len(self.payload) > MAX_PAYLOAD_LEN:
             raise RelayProtocolError("frame payload too large")
 
@@ -126,6 +132,11 @@ class WireFrame:
         if len(raw) > end:
             raise RelayProtocolError(f"{len(raw) - end} trailing bytes after frame")
         return cls(kind=kind, payload=raw[FRAME_HEADER_LEN:end])
+
+
+# the bare frames every session sends and echoes, built once
+_OPEN_FRAME = WireFrame(FrameKind.SESSION_OPEN)
+_CLOSE_FRAME = WireFrame(FrameKind.SESSION_CLOSE)
 
 
 def error_frame(reason: ErrorReason, detail: str = "") -> WireFrame:
@@ -247,6 +258,13 @@ class InProcessTransport:
             self._handler.end_session()
 
 
+# Each distinct command is parsed once; sharing the result is safe because
+# CommandApdu is frozen. lru_cache stores no exception, so malformed bytes
+# are parsed, and answered, on every call.
+_COMMAND_MEMO_SIZE = 32
+_parse_command = functools.lru_cache(maxsize=_COMMAND_MEMO_SIZE)(CommandApdu.parse)
+
+
 def se_exchange(se, origin: ChannelOrigin, capdu: bytes) -> bytes:
     """Hand one raw C-APDU to the secure element and return the raw R-APDU.
 
@@ -254,7 +272,7 @@ def se_exchange(se, origin: ChannelOrigin, capdu: bytes) -> bytes:
     answered the way a confused card would answer them.
     """
     try:
-        cmd = CommandApdu.parse(capdu)
+        cmd = _parse_command(capdu)
     except MalformedApdu:
         return status(SW_WRONG_LENGTH).to_bytes()
     return se.process(origin, cmd).to_bytes()
@@ -333,10 +351,10 @@ class SessionEndpoint:
                 self._close()
                 return [failure]
             self.session_open = True
-            return [WireFrame(FrameKind.SESSION_OPEN)]
+            return [_OPEN_FRAME]
         if frame.kind is FrameKind.SESSION_CLOSE:
             self.end_session()
-            return [WireFrame(FrameKind.SESSION_CLOSE)]
+            return [_CLOSE_FRAME]
         if frame.kind is FrameKind.C_APDU:
             if not self.session_open:
                 return [error_frame(ErrorReason.SESSION_STATE, "session not open")]
@@ -426,7 +444,7 @@ class SessionClient:
         if self.session_open:
             return
         try:
-            self.transport.send_frame(WireFrame(FrameKind.SESSION_OPEN))
+            self.transport.send_frame(_OPEN_FRAME)
             reply = self.transport.recv_frame()
         except (TransportClosed, RelayProtocolError) as exc:
             raise ActivationRefused(f"relay unreachable: {exc}") from exc
@@ -455,7 +473,7 @@ class SessionClient:
             return
         self.session_open = False
         try:
-            self.transport.send_frame(WireFrame(FrameKind.SESSION_CLOSE))
+            self.transport.send_frame(_CLOSE_FRAME)
             self.transport.recv_frame(timeout_ms=CLOSE_ACK_TIMEOUT_MS)
         except (TransportClosed, RelayProtocolError, ExchangeTimeout):
             pass

@@ -37,6 +37,9 @@ from .terminal import TerminalConfig, TransactionReport, run_transaction
 
 logger = logging.getLogger(__name__)
 
+# bounds both the connect and the accept that join a TCP run's two ends
+CONNECT_TIMEOUT_S = 5.0
+
 
 def resolve_seed(seed: Optional[int]) -> int:
     """Take the caller's seed or draw one from system entropy."""
@@ -154,15 +157,23 @@ def _run_relayed_transaction(
 
 
 def _serve_over_loopback(relay: RelayApp) -> tuple[CardEmulator, threading.Thread]:
-    """Start ``relay`` on its own thread, connected to an emulator over TCP."""
-    listener = socket.create_server(("127.0.0.1", 0), backlog=1)
-    host, port = listener.getsockname()
+    """Connect ``relay`` to an emulator over TCP, then serve it on its own thread.
 
-    def relay_main() -> None:
-        relay.serve(SocketTransport(socket.create_connection((host, port), timeout=5.0)))
-
-    relay_thread = threading.Thread(target=relay_main, name="relay-app", daemon=True)
+    Both ends connect before the thread starts, so a failed connect or accept
+    raises here, within :data:`CONNECT_TIMEOUT_S`, and leaves no thread.
+    """
+    with socket.create_server(("127.0.0.1", 0), backlog=1) as listener:
+        listener.settimeout(CONNECT_TIMEOUT_S)
+        relay_sock = socket.create_connection(
+            listener.getsockname(), timeout=CONNECT_TIMEOUT_S
+        )
+        try:
+            conn, _peer = listener.accept()
+        except OSError:
+            relay_sock.close()
+            raise
+    relay_thread = threading.Thread(
+        target=relay.serve, args=(SocketTransport(relay_sock),), name="relay-app", daemon=True
+    )
     relay_thread.start()
-    conn, _peer = listener.accept()
-    listener.close()
     return CardEmulator(SocketTransport(conn)), relay_thread

@@ -10,9 +10,10 @@ each command to the secure element straight or across a relay.
 
 A reply without a status word, a non-9000 status word or a response the
 terminal cannot use declines the transaction with a reason naming the
-fault. The fields read from each distinct response are kept in a bounded
-memo keyed on its bytes, so only COMPUTE CC, whose bytes never repeat, is
-decoded in every transaction; a malformed response is never cached.
+fault. Each distinct command is encoded once, and each distinct response
+parsed and read once, through bounded memos keyed on their inputs, so only
+COMPUTE CC, whose bytes never repeat, is built and decoded in every
+transaction; a malformed response is never cached.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Protocol
 
 from . import tlv
-from .apdu import CommandApdu, MalformedApdu, ResponseApdu
+from .apdu import MalformedApdu, ResponseApdu
 from .hexutil import format_hex
 from .latency import WallClock
 from .relay import CardRemoved, ExchangeTimeout
@@ -207,14 +208,13 @@ def run_transaction(
     report = TransactionReport(seed=cfg.seed, un=un)
     start = clock.now_ms()
 
-    def step(name: str, cmd: CommandApdu) -> ResponseApdu:
+    def step(name: str, raw: bytes) -> ResponseApdu:
         elapsed = clock.now_ms() - start
         budget: Optional[float] = None
         if cfg.timeout_ms is not None:
             budget = cfg.timeout_ms - elapsed
             if budget <= 0:
                 raise _Abort(TIMED_OUT)
-        raw = cmd.to_bytes()
         sent_at = clock.now_ms()
         try:
             reply = card.exchange(raw, max_wait_ms=budget)
@@ -223,7 +223,7 @@ def run_transaction(
             raise _Abort(TIMED_OUT) from None
         report.steps.append(TransactionStep(name, raw, reply, clock.now_ms() - sent_at))
         try:
-            resp = ResponseApdu.parse(reply)
+            resp = _parse_response(reply)
         except MalformedApdu:
             raise _Abort(DECLINED, "malformed_response") from None
         if not resp.is_success:
@@ -244,10 +244,26 @@ def run_transaction(
     return report
 
 
-# What the terminal reads from a response is memoised on the response bytes.
-# The memos are bounded and hold only immutable values; lru_cache stores no
-# exception, so a malformed response is parsed every time.
+# Command bytes are memoised on the command's fields, and the parsed response
+# and what the terminal reads from it on the response bytes. The memos are
+# bounded and hold only immutable values; lru_cache stores no exception, so a
+# malformed response is parsed every time.
 _MEMO_SIZE = 32
+
+_SELECT_PPSE = select_command(PPSE_AID).to_bytes()
+_GPO = GPO_COMMAND.to_bytes()
+_parse_response = functools.lru_cache(maxsize=_MEMO_SIZE)(ResponseApdu.parse)
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _select_bytes(aid: bytes) -> bytes:
+    return select_command(aid).to_bytes()
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _read_record_bytes(sfi: int, record_no: int) -> bytes:
+    return read_record_command(sfi, record_no).to_bytes()
+
 
 # tag paths of the fields read from each response, as raw tags
 _FCI_PATHS = ((b"\x6f", b"\x84"),)
@@ -289,15 +305,15 @@ def _fields(
 
 
 def _run_steps(report: TransactionReport, step, un: bytes) -> None:
-    ppse = step("select_ppse", select_command(PPSE_AID))
+    ppse = step("select_ppse", _SELECT_PPSE)
     aid = _pick_application(ppse.data)
 
-    fci = step("select_aid", select_command(aid))
+    fci = step("select_aid", _select_bytes(aid))
     (df_name,) = _fields(fci.data, _FCI_PATHS, "malformed_fci")
     if df_name != aid:
         raise _Abort(DECLINED, "fci_name_mismatch")
 
-    gpo = step("gpo", GPO_COMMAND)
+    gpo = step("gpo", _GPO)
     aip, afl = _fields(gpo.data, _GPO_PATHS, "malformed_gpo")
     if aip is None or len(aip) != 2:
         raise _Abort(DECLINED, "missing_aip")
@@ -309,7 +325,7 @@ def _run_steps(report: TransactionReport, step, un: bytes) -> None:
     for chunk_at in range(0, len(afl), 4):
         sfi, first, last, _signed = parse_afl(afl[chunk_at : chunk_at + 4])
         for record_no in range(first, last + 1):
-            record = step("read_record", read_record_command(sfi, record_no))
+            record = step("read_record", _read_record_bytes(sfi, record_no))
             track1, track2 = _fields(record.data, _RECORD_PATHS, "malformed_record")
             if track1 is not None:
                 report.track1 = track1
@@ -324,7 +340,7 @@ def _run_steps(report: TransactionReport, step, un: bytes) -> None:
     except MalformedTrack:
         raise _Abort(DECLINED, "malformed_track2") from None
 
-    cc = step("compute_cc", compute_cc_command(un))
+    cc = step("compute_cc", compute_cc_command(un).to_bytes())
     # a cryptogram never repeats, so it is read past the memo
     cvc3_t2, cvc3_t1, atc = _fields.__wrapped__(
         cc.data, _CC_PATHS, "malformed_cryptogram"

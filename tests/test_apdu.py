@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -178,3 +179,35 @@ class TestRoundTrip:
                 continue
             assert cmd.to_bytes() == raw
 
+
+class TestValueObjects:
+    """Equality, hashing and immutability that shared and memoised APDUs rely on."""
+
+    def test_command_equality_and_hash_follow_the_fields(self):
+        built = CommandApdu(0x00, 0xA4, 0x04, 0x00, data=bytearray(b"\x32\x50"), le=0)
+        parsed = CommandApdu.parse(bytes.fromhex("00A4040002325000"))
+        assert type(built.data) is bytes
+        assert built == parsed and hash(built) == hash(parsed)
+        assert built != CommandApdu(0x00, 0xA4, 0x04, 0x00, data=b"\x32\x50")
+        assert len({built, parsed}) == 1
+
+    def test_response_equality_and_hash_follow_the_fields(self):
+        built = ResponseApdu(bytearray(b"\x6f\x00"), 0x90, 0x00)
+        parsed = ResponseApdu.parse(b"\x6f\x00\x90\x00")
+        assert type(built.data) is bytes
+        assert built == parsed and hash(built) == hash(parsed)
+        assert built != ResponseApdu(b"\x6f\x00", 0x6A, 0x82)
+        assert ResponseApdu.from_sw(0x9000) == ResponseApdu(b"", 0x90, 0x00)
+
+    @pytest.mark.parametrize(
+        "value, field",
+        [
+            (CommandApdu(0x00, 0xA4, 0x04, 0x00), "cla"),
+            (CommandApdu(0x00, 0xA4, 0x04, 0x00), "data"),
+            (ResponseApdu(b"", 0x90, 0x00), "sw1"),
+            (ResponseApdu(b"", 0x90, 0x00), "data"),
+        ],
+    )
+    def test_fields_cannot_be_reassigned(self, value, field):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, field, b"" if field == "data" else 0x80)

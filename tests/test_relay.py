@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import math
 import random
 import socket
@@ -28,9 +29,10 @@ from serelay.relay import (
     TransportClosed,
     WireFrame,
     error_frame,
+    se_exchange,
 )
 from serelay.scenarios import run_relay_attack
-from serelay.secure_element import PREPAID_AID, WALLET_AID, SecureElement
+from serelay.secure_element import PREPAID_AID, WALLET_AID, ChannelOrigin, SecureElement
 
 
 class TestWireFrame:
@@ -65,6 +67,35 @@ class TestWireFrame:
         frame = error_frame(ErrorReason.UNLOCK_FAILED, "sw=6985")
         assert frame.kind is FrameKind.ERROR
         assert frame.payload[0] == ErrorReason.UNLOCK_FAILED
+
+    def test_kind_and_payload_are_converted(self):
+        frame = WireFrame(3, bytearray(b"x"))
+        assert frame.kind is FrameKind.C_APDU
+        assert type(frame.payload) is bytes
+        assert frame == WireFrame(FrameKind.C_APDU, b"x")
+        assert hash(frame) == hash(WireFrame(FrameKind.C_APDU, b"x"))
+        assert frame != WireFrame(FrameKind.R_APDU, b"x")
+
+    def test_unknown_kind_rejected_at_construction(self):
+        with pytest.raises(ValueError):
+            WireFrame(0x09)
+
+    @pytest.mark.parametrize("kind", [FrameKind.SESSION_OPEN, 0x01])
+    def test_open_must_be_empty(self, kind):
+        with pytest.raises(RelayProtocolError):
+            WireFrame(kind, b"x")
+
+    def test_payload_length_limit(self):
+        assert len(WireFrame(FrameKind.C_APDU, bytes(0xFFFF)).payload) == 0xFFFF
+        with pytest.raises(RelayProtocolError):
+            WireFrame(FrameKind.C_APDU, bytes(0x10000))
+
+    def test_fields_cannot_be_reassigned(self):
+        frame = WireFrame(FrameKind.C_APDU, b"x")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            frame.payload = b"y"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            frame.kind = FrameKind.R_APDU
 
 
 def make_pair(policy=None, se=None, **relay_kwargs):
@@ -123,6 +154,15 @@ class TestRelaySession:
         emulator.activate_field()
         reply = emulator.exchange(b"\x00")
         assert reply == b"\x67\x00"
+
+    def test_same_malformed_command_answers_6700_every_time(self):
+        # the command memo stores no failure
+        se = SecureElement()
+        lc_overrun = b"\x00\xa4\x04\x00\x05\x01"
+        for _ in range(2):
+            assert se_exchange(se, ChannelOrigin.INTERNAL, lc_overrun) == b"\x67\x00"
+        reply = se_exchange(se, ChannelOrigin.INTERNAL, parse_hex(SELECT_PPSE_C))
+        assert reply == parse_hex(SELECT_PPSE_R)
 
 
 class TestOpenFailures:

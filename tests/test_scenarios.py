@@ -1,9 +1,12 @@
 """Direct runs and relayed runs share one pipeline; these tests pin what that
 promises: the same report for the same delays, and what a run leaves behind."""
+import errno
+import socket
 import threading
 
 import pytest
 
+from serelay import cli, scenarios
 from serelay.latency import AccessPath, LatencyParams
 from serelay.scenarios import run_pos_direct, run_relay_attack
 from serelay.secure_element import ChannelOrigin, SecureElement
@@ -64,3 +67,70 @@ def test_tcp_step_past_the_deadline_is_recorded_empty():
     assert se.atc == 9
     relays_after = {t for t in threading.enumerate() if t.name == "relay-app" and t.is_alive()}
     assert relays_after <= relays_before
+
+
+def _relay_threads():
+    return {t for t in threading.enumerate() if t.name == "relay-app"}
+
+
+def _guarded(call) -> BaseException:
+    """Run ``call`` on a worker joined with a timeout; return what it raised."""
+    raised = []
+
+    def attempt():
+        try:
+            call()
+        except (OSError, SystemExit) as exc:
+            raised.append(exc)
+
+    worker = threading.Thread(target=attempt, daemon=True)
+    worker.start()
+    worker.join(timeout=5.0)
+    assert not worker.is_alive(), "the run is still blocked"
+    assert len(raised) == 1
+    return raised[0]
+
+
+def _refuse_connect(*args, **kwargs):
+    raise OSError(errno.EADDRNOTAVAIL, "Cannot assign requested address")
+
+
+@pytest.mark.parametrize("connect", ["fails", "goes_elsewhere"])
+def test_tcp_run_whose_loopback_join_fails_raises_and_leaves_nothing(monkeypatch, connect):
+    # a connect that fails (say EADDRNOTAVAIL once ephemeral ports run out) or
+    # never reaches the listener must not leave the run blocked in accept
+    listeners, strays = [], []
+    create_server = socket.create_server
+
+    def recording_create_server(*args, **kwargs):
+        listeners.append(create_server(*args, **kwargs))
+        return listeners[-1]
+
+    def connect_elsewhere(*args, **kwargs):
+        strays.extend(socket.socketpair())
+        return strays[0]
+
+    monkeypatch.setattr(scenarios.socket, "create_server", recording_create_server)
+    if connect == "fails":
+        monkeypatch.setattr(scenarios.socket, "create_connection", _refuse_connect)
+    else:
+        monkeypatch.setattr(scenarios.socket, "create_connection", connect_elsewhere)
+        monkeypatch.setattr(scenarios, "CONNECT_TIMEOUT_S", 0.2)
+    relays_before = _relay_threads()
+    try:
+        raised = _guarded(lambda: run_relay_attack(seed=1, transport="tcp"))
+        assert isinstance(raised, OSError)
+        assert [listener.fileno() for listener in listeners] == [-1]
+        # the relay end of a connect that went elsewhere is closed as well
+        assert all(sock.fileno() == -1 for sock in strays[:1])
+        assert _relay_threads() == relays_before
+    finally:
+        for sock in strays:
+            sock.close()
+
+
+def test_failed_loopback_join_is_a_usage_error_at_the_cli(monkeypatch, capsys):
+    monkeypatch.setattr(scenarios.socket, "create_connection", _refuse_connect)
+    raised = _guarded(lambda: cli.main(["relay-attack", "--seed", "1", "--transport", "tcp"]))
+    assert isinstance(raised, SystemExit) and raised.code == 2
+    assert "Cannot assign requested address" in capsys.readouterr().err

@@ -5,6 +5,8 @@ import threading
 
 import pytest
 
+import serelay.relay
+import serelay.terminal
 from serelay.apdu import CommandApdu
 from serelay.hexutil import parse_hex
 from serelay.latency import AccessPath, LatencyModel, VirtualClock
@@ -485,6 +487,29 @@ class TestShortReply:
         assert [(s.name, s.rapdu, s.sw) for s in report.steps] == [
             ("select_ppse", b"\x90", None)
         ]
+
+
+class TestMemos:
+    """Commands are encoded and responses parsed once; no failure is cached."""
+
+    def test_malformed_reply_declines_every_transaction(self):
+        for _ in range(2):
+            report = run_scripted(gpo=b"\x90")
+            assert (report.outcome, report.reason) == (DECLINED, "malformed_response")
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "terminal._parse_response",
+            "terminal._select_bytes",
+            "terminal._read_record_bytes",
+            "relay._parse_command",
+        ],
+    )
+    def test_memo_is_bounded(self, name):
+        module, memo = name.split(".")
+        maxsize = getattr(getattr(serelay, module), memo).cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize <= 64
 
 
 class TestReportSerialization:
