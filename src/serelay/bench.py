@@ -2,9 +2,13 @@
 
 Checks once that each chosen access path answers a SELECT of the card
 manager, on one secure element shared by every path, then draws the paths'
-modelled round-trip delays and bins them. The default layout is 160 bins of
-50 ms where the last bin collects everything at or above 7950 ms; zoomed
-layouts are a matter of passing a different width/count.
+modelled round-trip delays and bins them. The draw is one pass over the
+sample indices: each index's one digest gives every path's delay, appended to
+that path's column, and each spec bins its own copy of its path's column.
+The default layout is 160 bins of 50 ms where the last bin collects
+everything at or above 7950 ms, ``inf`` included; zoomed layouts are a matter
+of passing a different width/count. The CSV row labels of a layout are
+formatted once and reused by every later export with the same layout.
 
 The binned value per repetition is the sampled path delay alone, so seeded
 runs are bit-identical across repeats; the host's own compute time never
@@ -14,9 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional, Sequence
 
-from .latency import AccessPath, LatencyParams, sample_paths_at
+from .latency import DEFAULT_PARAMS, AccessPath, LatencyParams, sample_paths_at
 from .secure_element import ChannelOrigin, ISD_PREFIX_AID, SecureElement, select_command
 
 # SELECT card manager by its 7-byte name: 13-byte command, 105-byte response
@@ -51,9 +56,19 @@ class Histogram:
         return self.bin_width_ms * (self.bin_count - 1)
 
     def add(self, delay_ms: float) -> None:
-        if delay_ms < 0:
-            raise ValueError("negative delay")
-        index = int(delay_ms // self.bin_width_ms)
+        """Count one delay in bin ``delay_ms // bin_width_ms``.
+
+        Every delay at or above :attr:`overflow_threshold_ms` lands in the last
+        bin, including ``inf`` and delays whose quotient overflows to ``inf``.
+        A NaN or negative delay raises ``ValueError``.
+        """
+        if not delay_ms >= 0.0:
+            raise ValueError(f"delay must be a number >= 0, got {delay_ms!r}")
+        try:
+            index = int(delay_ms // self.bin_width_ms)
+        except (OverflowError, ValueError):
+            # the quotient is inf (a tiny width or a huge delay) or NaN (an inf delay)
+            index = self.bin_count
         if index >= self.bin_count - 1:
             index = self.bin_count - 1
         self.counts[index] += 1
@@ -64,16 +79,22 @@ def _fmt(value: float) -> str:
     return f"{value:g}"
 
 
+@lru_cache(maxsize=16)
+def _csv_labels(bin_width_ms: float, bin_count: int) -> tuple[str, ...]:
+    """Each row's ``start,end,`` prefix, the last one ending ``overflow,``."""
+    labels = []
+    for i in range(bin_count):
+        start = i * bin_width_ms
+        end = "overflow" if i == bin_count - 1 else _fmt(start + bin_width_ms)
+        labels.append(f"{_fmt(start)},{end},")
+    return tuple(labels)
+
+
 def histogram_to_csv(hist: Histogram) -> str:
     """CSV rendering: one row per bin, the last row labelled as overflow."""
-    lines = ["bin_start_ms,bin_end_ms,count"]
-    for i, count in enumerate(hist.counts):
-        start = i * hist.bin_width_ms
-        if i == hist.bin_count - 1:
-            lines.append(f"{_fmt(start)},overflow,{count}")
-        else:
-            lines.append(f"{_fmt(start)},{_fmt(start + hist.bin_width_ms)},{count}")
-    return "\n".join(lines) + "\n"
+    labels = _csv_labels(hist.bin_width_ms, hist.bin_count)
+    rows = "".join([f"{label}{count}\n" for label, count in zip(labels, hist.counts)])
+    return "bin_start_ms,bin_end_ms,count\n" + rows
 
 
 def histogram_from_csv(text: str) -> Histogram:
@@ -86,9 +107,15 @@ def histogram_from_csv(text: str) -> Histogram:
     counts: list[int] = []
     width: Optional[float] = None
     for i, row in enumerate(rows):
-        start_s, end_s, count_s = row.split(",")
+        cells = row.split(",")
+        if len(cells) != 3:
+            raise ValueError(f"row {i} has {len(cells)} fields, expected 3")
+        start_s, end_s, count_s = cells
         start = float(start_s)
-        counts.append(int(count_s))
+        count = int(count_s)
+        if count < 0:
+            raise ValueError(f"row {i} has a negative count {count}")
+        counts.append(count)
         if i < len(rows) - 1:
             row_width = float(end_s) - start
             if width is None:
@@ -159,15 +186,16 @@ def sample_benchmark(
 
     The specs must share seed, repetitions and params. The result holds one
     ``(histogram, delays)`` pair per spec, each equal to what the spec gives
-    alone. The draw goes index-major: each repetition takes every path's
-    delay from the index's one digest.
+    alone; specs on one path get equal but separate lists. The draw goes
+    index-major: each repetition takes every path's delay from the index's
+    one digest.
     """
     if len({(s.seed, s.repetitions, s.params) for s in specs}) != 1:
         raise ValueError("specs must share seed, repetitions and params")
     if se is None:
         se = SecureElement()
     first = specs[0]
-    params = first.params if first.params is not None else LatencyParams()
+    params = first.params if first.params is not None else DEFAULT_PARAMS
     paths = list(dict.fromkeys(s.path for s in specs))
     for s in specs:
         origin = (
@@ -184,15 +212,18 @@ def sample_benchmark(
             raise BenchmarkError(
                 f"path {s.path.value} unavailable: workload answered {resp.sw:04X}"
             )
-    draws = [
-        sample_paths_at(paths, first.seed, index, params)
-        for index in range(first.repetitions)
-    ]
+    columns = {path: [] for path in paths}
+    appends = [(path, columns[path].append) for path in paths]
+    for index in range(first.repetitions):
+        draw = sample_paths_at(paths, first.seed, index, params)
+        for path, append in appends:
+            append(draw[path])
     results = []
     for s in specs:
         hist = Histogram(bin_width_ms=s.bin_width_ms, bin_count=s.bin_count)
-        modelled = [draw[s.path] for draw in draws]
+        add = hist.add
+        modelled = columns[s.path].copy()  # the caller may sort each spec's list
         for delay in modelled:
-            hist.add(delay)
+            add(delay)
         results.append((hist, modelled))
     return results

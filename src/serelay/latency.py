@@ -30,6 +30,7 @@ import sys
 import time
 from dataclasses import dataclass, fields
 from enum import Enum
+from math import cos, exp, log, sqrt, tau
 from typing import Iterable, Optional
 
 from .profile import JsonConfig
@@ -81,8 +82,10 @@ class LatencyParams(JsonConfig):
             )
         # each log-normal's exponent must not overflow exp, even at the largest |z|
         hs, fs = self.internet_heavy_sigma, self.internet_fast_sigma
-        heavy = math.log(self.internet_heavy_median) + hs * _Z_MAX
-        fast = math.log(self.internet_fast_mode) + fs**2 + fs * _Z_MAX
+        heavy_mu = math.log(self.internet_heavy_median)
+        fast_mu = math.log(self.internet_fast_mode) + fs**2
+        heavy = heavy_mu + hs * _Z_MAX
+        fast = fast_mu + fs * _Z_MAX
         for key, value, exponent in (
             ("internet_heavy_sigma", hs, heavy),
             ("internet_fast_sigma", fs, fast),
@@ -101,21 +104,25 @@ class LatencyParams(JsonConfig):
         ):
             if not math.isfinite(largest):
                 raise ValueError(f"{keys} overflows the largest delay")
+        # what every draw derives from the fields, computed once; not fields, so
+        # eq, hash, repr and save() ignore them, and copies and pickles keep them
+        for name, value in (
+            ("_internal_span", self.internal_high - self.internal_low),
+            ("_wifi_span", self.wifi_overhead_high - self.wifi_overhead_low),
+            ("_heavy_mu", heavy_mu),
+            ("_fast_mu", fast_mu),
+        ):
+            object.__setattr__(self, name, value)
 
 
 _WORDS = struct.Struct("<4Q").unpack
 _UNIT = 2.0**-53
-_Z_MAX = math.sqrt(-2.0 * math.log(_UNIT))  # the largest |z| of _normal
-_DEFAULT_PARAMS = LatencyParams()
+_Z_MAX = math.sqrt(-2.0 * math.log(_UNIT))  # the largest |z| of a Box-Muller draw
+DEFAULT_PARAMS = LatencyParams()
 # enum class attributes resolve slowly; the per-path branch compares against these
 _EXTERNAL, _INTERNAL, _WIFI = (
     AccessPath.DIRECT_EXTERNAL, AccessPath.DIRECT_INTERNAL, AccessPath.RELAY_WIFI
 )
-
-
-def _normal(ua: float, ub: float) -> float:
-    """Box-Muller standard normal from two uniforms in [0, 1)."""
-    return math.cos(ua * math.tau) * math.sqrt(-2.0 * math.log(1.0 - ub))
 
 
 def sample_paths_at(
@@ -126,26 +133,27 @@ def sample_paths_at(
     u0 = (words[0] >> 11) * _UNIT
     u1 = (words[1] >> 11) * _UNIT
     p = params
-    base = p.internal_low + (p.internal_high - p.internal_low) * u0
+    base = p.internal_low + p._internal_span * u0
     delays = {}
     for path in paths:
         if path is _EXTERNAL:
-            delays[path] = max(0.0, p.external_mean + _normal(u0, u1) * p.external_sd)
+            # Box-Muller standard normal on u0, u1
+            z = cos(u0 * tau) * sqrt(-2.0 * log(1.0 - u1))
+            delays[path] = max(0.0, p.external_mean + z * p.external_sd)
         elif path is _INTERNAL:
             delays[path] = base
         elif path is _WIFI:
-            spread = p.wifi_overhead_high - p.wifi_overhead_low
-            delays[path] = base + (p.wifi_overhead_low + spread * u1)
+            delays[path] = base + (p.wifi_overhead_low + p._wifi_span * u1)
         else:
             # internet: floored fast component mixed with a heavy (>=1 s) one,
             # chosen by u1; the log-normal's normal comes from u2 and u3
-            z = _normal((words[2] >> 11) * _UNIT, (words[3] >> 11) * _UNIT)
+            z = cos((words[2] >> 11) * _UNIT * tau) * sqrt(
+                -2.0 * log(1.0 - (words[3] >> 11) * _UNIT)
+            )
             if u1 < p.internet_heavy_weight:
-                mu = math.log(p.internet_heavy_median)
-                overhead = p.internet_heavy_floor + math.exp(mu + p.internet_heavy_sigma * z)
+                overhead = p.internet_heavy_floor + exp(p._heavy_mu + p.internet_heavy_sigma * z)
             else:
-                mu = math.log(p.internet_fast_mode) + p.internet_fast_sigma**2
-                overhead = p.internet_floor + math.exp(mu + p.internet_fast_sigma * z)
+                overhead = p.internet_floor + exp(p._fast_mu + p.internet_fast_sigma * z)
             delays[path] = base + overhead
     return delays
 
@@ -161,7 +169,7 @@ class LatencyModel:
     ):
         self.path = AccessPath(path)
         self.seed = seed
-        self.params = params if params is not None else _DEFAULT_PARAMS
+        self.params = params if params is not None else DEFAULT_PARAMS
         self._index = 0
 
     def sample_at(self, index: int) -> float:

@@ -1,3 +1,5 @@
+import math
+import random
 from dataclasses import replace
 
 import pytest
@@ -67,6 +69,34 @@ class TestHistogram:
         with pytest.raises(ValueError):
             Histogram().add(-1.0)
 
+    @pytest.mark.parametrize("delay", [math.nan, -math.inf])
+    def test_nan_rejected_like_a_negative(self, delay):
+        hist = Histogram()
+        with pytest.raises(ValueError, match="delay must be a number >= 0"):
+            hist.add(delay)
+        assert hist.total == 0
+
+    @pytest.mark.parametrize(
+        "width, delay",
+        [(1e-320, 5.0), (50.0, math.inf), (1e-300, 1e300), (50.0, 1e308)],
+    )
+    def test_overflowing_quotient_lands_in_overflow_bin(self, width, delay):
+        hist = Histogram(bin_width_ms=width, bin_count=4)
+        hist.add(delay)
+        assert hist.counts == [0, 0, 0, 1]
+        assert hist.total == 1
+
+    def test_finite_delays_bin_as_floor_division(self):
+        rng = random.Random(4)
+        delays = [rng.uniform(0, 9000) for _ in range(2000)] + [k * 50.0 for k in range(170)]
+        hist = Histogram()
+        for delay in delays:
+            hist.add(delay)
+        expected = [0] * 160
+        for delay in delays:
+            expected[min(int(delay // 50.0), 159)] += 1
+        assert hist.counts == expected
+
     def test_layout_validation(self):
         with pytest.raises(ValueError):
             Histogram(bin_width_ms=0)
@@ -123,6 +153,16 @@ class TestCsv:
     def test_missing_overflow_label_rejected(self):
         with pytest.raises(ValueError):
             histogram_from_csv("bin_start_ms,bin_end_ms,count\n0,1,0\n1,2,0\n")
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="row 0 has a negative count -5"):
+            histogram_from_csv("bin_start_ms,bin_end_ms,count\n0,50,-5\n50,overflow,3\n")
+
+    @pytest.mark.parametrize("row", ["50,overflow,3,1", "50,overflow"])
+    def test_row_with_wrong_field_count_rejected(self, row):
+        fields = row.count(",") + 1
+        with pytest.raises(ValueError, match=f"row 1 has {fields} fields, expected 3"):
+            histogram_from_csv(f"bin_start_ms,bin_end_ms,count\n0,50,2\n{row}\n")
 
 
 class TestRunBenchmark:
@@ -228,6 +268,20 @@ class TestSampleIndexMajor:
             alone_hist, alone_delays = sample_benchmark([spec])[0]
             assert delays == alone_delays
             assert hist == alone_hist
+
+    def test_specs_on_one_path_get_their_own_lists(self):
+        specs = [
+            BenchmarkSpec(path=AccessPath.RELAY_WIFI, repetitions=200, seed=2, bin_width_ms=width,
+                          bin_count=count)
+            for width, count in [(50.0, 160), (5.0, 40)]
+        ]
+        (hist_a, delays_a), (hist_b, delays_b) = sample_benchmark(specs)
+        assert delays_a is not delays_b
+        for spec, hist, delays in zip(specs, (hist_a, hist_b), (delays_a, delays_b)):
+            assert (hist, delays) == sample_benchmark([spec])[0]
+        unsorted = list(delays_b)
+        delays_a.sort()
+        assert delays_b == unsorted != delays_a
 
     @pytest.mark.parametrize(
         "field, value",

@@ -208,6 +208,19 @@ class TestBench:
             assert main([*argv, str(one_dir), "--path", path]) == 0
             assert (one_dir / f"{path}.csv").read_text() == (all_dir / f"{path}.csv").read_text()
 
+    def test_tiny_bin_width_puts_every_rep_in_overflow(self, tmp_path, capsys):
+        # every delay's bin quotient overflows to inf: no traceback, all in the last row
+        rc = main(
+            ["bench", "--path", "wifi", "--reps", "10", "--bin-width", "1e-320",
+             "--out", str(tmp_path)]
+        )
+        assert rc == 0
+        assert capsys.readouterr().out.startswith("wifi: reps=10 ")
+        rows = (tmp_path / "wifi.csv").read_text().splitlines()[1:]
+        assert len(rows) == 160
+        assert rows[-1].endswith(",overflow,10")
+        assert all(row.endswith(",0") for row in rows[:-1])
+
     def test_zero_reps_is_usage_error(self):
         with pytest.raises(SystemExit) as exc_info:
             main(["bench", "--reps", "0"])

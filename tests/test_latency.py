@@ -1,5 +1,8 @@
+import copy
 import hashlib
+import json
 import math
+import pickle
 import random
 import select
 import socket
@@ -9,7 +12,7 @@ import sys
 import threading
 import time
 from bisect import bisect_right
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -162,6 +165,33 @@ IDENTITY_SEEDS = (0, 1, 7, 42, 12345, 2**31 + 5, -3)
 GRID_DIGEST = "153063311e7ca81f3c216e21124523022d1699eca04d376d8eaaf360a91a4527"
 
 
+# every field the draw's precomputed constants depend on, away from its default
+CHANGED_FIELDS = {
+    "internal_low": 20.0,
+    "internal_high": 95.0,
+    "wifi_overhead_low": 40.0,
+    "wifi_overhead_high": 400.0,
+    "internet_heavy_weight": 0.5,
+    "internet_heavy_median": 900.0,
+    "internet_fast_mode": 30.0,
+    "internet_fast_sigma": 1.1,
+}
+
+
+def _saved_and_loaded(path):
+    LatencyParams(**CHANGED_FIELDS).save(path)
+    return LatencyParams.load(path)
+
+
+PARAM_MAKERS = {
+    "replace": lambda _path: replace(LatencyParams(), **CHANGED_FIELDS),
+    "load": _saved_and_loaded,
+    "copy": lambda _path: copy.copy(LatencyParams(**CHANGED_FIELDS)),
+    "deepcopy": lambda _path: copy.deepcopy(LatencyParams(**CHANGED_FIELDS)),
+    "pickle": lambda _path: pickle.loads(pickle.dumps(LatencyParams(**CHANGED_FIELDS))),
+}
+
+
 def hash_reference(path: AccessPath, seed: int, index: int, p: LatencyParams) -> float:
     """The keyed-hash draw restated from hashlib, struct and math alone."""
     digest = hashlib.blake2b(f"{seed}:{index}".encode(), digest_size=32).digest()
@@ -248,6 +278,22 @@ class TestBitIdentity:
     def test_sample_grid_digest(self):
         # captured when the draw became a keyed hash
         assert sample_grid_digest() == GRID_DIGEST
+
+    @pytest.mark.parametrize("make", list(PARAM_MAKERS.values()), ids=list(PARAM_MAKERS))
+    def test_every_way_of_making_params_draws_from_its_fields(self, make, tmp_path):
+        # the draw's precomputed constants must follow the fields, never a stale copy
+        params = make(tmp_path / "latency.json")
+        assert params == LatencyParams(**CHANGED_FIELDS)
+        for seed in IDENTITY_SEEDS:
+            for k in range(200):
+                assert sample_paths_at(AccessPath, seed, k, params) == {
+                    path: hash_reference(path, seed, k, params) for path in AccessPath
+                }
+
+    def test_save_writes_only_the_fields(self, tmp_path):
+        LatencyParams(**CHANGED_FIELDS).save(tmp_path / "latency.json")
+        saved = json.loads((tmp_path / "latency.json").read_text())
+        assert list(saved) == [f.name for f in fields(LatencyParams)]
 
 
 KS_DRAWS = 20_000
