@@ -76,7 +76,9 @@ class Histogram:
 
 
 def _fmt(value: float) -> str:
-    return f"{value:g}"
+    """``:g`` where it reads back as ``value``, else the exact ``repr``."""
+    short = f"{value:g}"
+    return short if float(short) == value else repr(value)
 
 
 @lru_cache(maxsize=16)
@@ -97,6 +99,12 @@ def histogram_to_csv(hist: Histogram) -> str:
     return "bin_start_ms,bin_end_ms,count\n" + rows
 
 
+def _close(a: float, b: float) -> bool:
+    # relative as well as absolute: an edge far from zero loses low bits when
+    # a row's width is taken as end - start
+    return math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-9)
+
+
 def histogram_from_csv(text: str) -> Histogram:
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines or lines[0] != "bin_start_ms,bin_end_ms,count":
@@ -111,20 +119,25 @@ def histogram_from_csv(text: str) -> Histogram:
         if len(cells) != 3:
             raise ValueError(f"row {i} has {len(cells)} fields, expected 3")
         start_s, end_s, count_s = cells
-        start = float(start_s)
-        count = int(count_s)
+        last = i == len(rows) - 1
+        try:
+            start = float(start_s)
+            end = None if last else float(end_s)
+            count = int(count_s)
+        except ValueError:
+            raise ValueError(f"row {i} has a field that is not a number: {row!r}") from None
         if count < 0:
             raise ValueError(f"row {i} has a negative count {count}")
         counts.append(count)
-        if i < len(rows) - 1:
-            row_width = float(end_s) - start
+        if end is not None:
+            row_width = end - start
             if width is None:
                 width = row_width
-            elif abs(row_width - width) > 1e-9:
+            elif not _close(row_width, width):
                 raise ValueError(f"inconsistent bin width in row {i}")
         elif end_s != "overflow":
             raise ValueError("final row must be the overflow bin")
-        if width is not None and abs(start - i * width) > 1e-9:
+        if width is not None and not _close(start, i * width):
             raise ValueError(f"row {i} does not start on a bin boundary")
     assert width is not None
     return Histogram(
@@ -138,15 +151,15 @@ def histogram_from_csv(text: str) -> Histogram:
 def render_ascii(hist: Histogram, max_width: int = 60) -> str:
     """Bar chart of the occupied bins, for eyeballing a run."""
     peak = max(hist.counts) if hist.total else 0
-    lines = [f"total={hist.total} bins={hist.bin_count} width={_fmt(hist.bin_width_ms)}ms"]
+    lines = [f"total={hist.total} bins={hist.bin_count} width={hist.bin_width_ms:g}ms"]
     for i, count in enumerate(hist.counts):
         if count == 0:
             continue
         start = i * hist.bin_width_ms
         label = (
-            f">={_fmt(hist.overflow_threshold_ms)}"
+            f">={hist.overflow_threshold_ms:g}"
             if i == hist.bin_count - 1
-            else f"{_fmt(start)}-{_fmt(start + hist.bin_width_ms)}"
+            else f"{start:g}-{start + hist.bin_width_ms:g}"
         )
         bar = "#" * max(1, round(count / peak * max_width))
         lines.append(f"{label:>14} ms |{bar} {count}")

@@ -193,12 +193,16 @@ class WallClock:
         return time.monotonic() * 1000.0
 
     def sleep_ms(self, duration_ms: float, limit_ms: float = math.inf, wake=None) -> bool:
-        """Wait up to ``limit_ms`` or until socket ``wake`` is readable; True if all elapsed."""
+        """Wait up to ``limit_ms`` or until socket ``wake`` is readable; True if all elapsed.
+
+        A ``wake`` with ``has_pending()`` (a buffered transport) also counts as
+        readable while it holds bytes it has already read.
+        """
         if duration_ms > 0:
             seconds = min(duration_ms, limit_ms) / 1000.0
             if wake is None:
                 time.sleep(seconds)
-            elif select.select([wake], [], [], seconds)[0]:
+            elif getattr(wake, "has_pending", bool)() or select.select([wake], [], [], seconds)[0]:
                 return False
         return duration_ms <= limit_ms
 

@@ -21,7 +21,9 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import select
 import socket
+import time
 from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
@@ -44,6 +46,9 @@ logger = logging.getLogger(__name__)
 
 FRAME_HEADER_LEN = 3
 MAX_PAYLOAD_LEN = 0xFFFF
+# APDU frames are a few hundred bytes at most; a longer frame takes more than
+# one recv. A read size of a whole 64 KiB frame raised peak RSS by ~0.3 MB.
+_RECV_SIZE = 4096
 # how long a session client waits for the SESSION_CLOSE echo of a silent peer
 CLOSE_ACK_TIMEOUT_MS = 1000.0
 
@@ -92,6 +97,8 @@ class ExchangeTimeout(Exception):
 
 
 _BARE_KINDS = (FrameKind.SESSION_OPEN, FrameKind.SESSION_CLOSE)
+# the kind of each first byte, None where the byte names no kind
+_KIND_OF_BYTE = tuple({kind.value: kind for kind in FrameKind}.get(byte) for byte in range(256))
 
 
 @dataclass(frozen=True)
@@ -121,12 +128,10 @@ class WireFrame:
     def decode(cls, raw: bytes) -> "WireFrame":
         if len(raw) < FRAME_HEADER_LEN:
             raise RelayProtocolError("short frame header")
-        try:
-            kind = FrameKind(raw[0])
-        except ValueError:
-            raise RelayProtocolError(f"unknown frame kind {raw[0]:#04x}") from None
-        length = int.from_bytes(raw[1:3], "big")
-        end = FRAME_HEADER_LEN + length
+        kind = _KIND_OF_BYTE[raw[0]]
+        if kind is None:
+            raise RelayProtocolError(f"unknown frame kind {raw[0]:#04x}")
+        end = FRAME_HEADER_LEN + (raw[1] << 8 | raw[2])
         if len(raw) < end:
             raise RelayProtocolError("truncated frame payload")
         if len(raw) > end:
@@ -161,11 +166,21 @@ class Transport(Protocol):
 
 
 class SocketTransport:
-    """Frame stream over a connected TCP (or socketpair) socket."""
+    """Frame stream over a connected TCP (or socketpair) socket.
+
+    The socket stays in blocking mode. Bytes read past the current frame are
+    kept, so a frame that is already buffered costs no syscall. A read with a
+    timeout waits against one deadline for the whole frame, so a peer that
+    drips bytes cannot stretch it; timing out in the middle of a frame closes
+    the transport, since the rest of that frame would be read as the next
+    header.
+    """
 
     def __init__(self, sock: socket.socket):
+        sock.setblocking(True)
         self._sock = sock
         self._closed = False
+        self._buf = bytearray()
 
     def send_frame(self, frame: WireFrame) -> None:
         if self._closed:
@@ -175,42 +190,44 @@ class SocketTransport:
         except OSError as exc:
             raise TransportClosed(str(exc)) from exc
 
-    def _recv_until(self, buf: bytearray, size: int) -> None:
-        while len(buf) < size:
-            try:
-                chunk = self._sock.recv(size - len(buf))
-            except socket.timeout:
-                raise
-            except OSError as exc:
-                raise TransportClosed(str(exc)) from exc
-            if not chunk:
-                raise TransportClosed("peer closed the connection")
-            buf += chunk
+    def has_pending(self) -> bool:
+        """Whether bytes of a next frame have already been read."""
+        return bool(self._buf)
 
     def recv_frame(self, timeout_ms: Optional[float] = None) -> WireFrame:
         if self._closed:
             raise TransportClosed("transport already closed")
-        try:
-            self._sock.settimeout(
-                timeout_ms / 1000.0 if timeout_ms is not None else None
-            )
-        except OSError as exc:
-            raise TransportClosed(str(exc)) from exc
-        buf = bytearray()
-        try:
-            self._recv_until(buf, FRAME_HEADER_LEN)
-            self._recv_until(buf, FRAME_HEADER_LEN + int.from_bytes(buf[1:3], "big"))
-        except socket.timeout:
-            if buf:
-                # the rest of this frame would be read as the next header
-                self.close()
-            raise ExchangeTimeout("no frame within deadline") from None
-        finally:
+        buf = self._buf
+        deadline = None
+        while True:
+            if len(buf) >= FRAME_HEADER_LEN:
+                end = FRAME_HEADER_LEN + (buf[1] << 8 | buf[2])
+                if len(buf) >= end:
+                    raw = bytes(buf[:end])
+                    del buf[:end]
+                    return WireFrame.decode(raw)
+            if timeout_ms is not None:
+                if deadline is None:
+                    deadline = time.monotonic() + timeout_ms / 1000.0
+                # past the deadline, a zero wait still takes bytes that have arrived
+                remaining_s = max(deadline - time.monotonic(), 0.0)
+                if not select.select([self._sock], [], [], remaining_s)[0]:
+                    if buf:
+                        self.close()
+                    raise ExchangeTimeout("no frame within deadline")
             try:
-                self._sock.settimeout(None)
-            except OSError:
-                pass
-        return WireFrame.decode(bytes(buf))
+                chunk = self._sock.recv(_RECV_SIZE)
+            except OSError as exc:
+                raise TransportClosed(str(exc)) from exc
+            if not chunk:
+                raise TransportClosed("peer closed the connection")
+            if (
+                not buf
+                and len(chunk) >= FRAME_HEADER_LEN
+                and len(chunk) == FRAME_HEADER_LEN + (chunk[1] << 8 | chunk[2])
+            ):
+                return WireFrame.decode(chunk)  # the usual case: one chunk, one frame
+            buf += chunk
 
     def fileno(self) -> int:
         return self._sock.fileno()

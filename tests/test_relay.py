@@ -538,3 +538,68 @@ class TestServeAgainstBadPeers:
         assert errors == []
         assert se.wallet_locked
         assert parse_hex(SELECT_PPSE_C) not in seen
+
+    @pytest.mark.parametrize("gap_s", [None, 0.05], ids=["one_send", "two_sends"])
+    def test_early_frame_has_one_outcome_however_it_is_segmented(self, gap_s):
+        # a second C-APDU arrives while the first waits out its 300 ms delay;
+        # whether both came in one chunk or apart, the wait ends the session,
+        # the first command never reaches the SE and the second is refused
+        params = LatencyParams(internal_low=300.0, internal_high=300.0)
+        se = SecureElement()
+        seen = []
+        process = se.process
+        se.process = lambda origin, cmd: seen.append(cmd.to_bytes()) or process(origin, cmd)
+        relay = RelayApp(se, model=LatencyModel(AccessPath.DIRECT_INTERNAL, 1, params))
+        near, far = socket.socketpair()
+        thread, errors = self.start(relay, near)
+        peer = SocketTransport(far)
+        command = frame(FrameKind.C_APDU, parse_hex(SELECT_PPSE_C))
+        try:
+            peer.send_frame(WireFrame(FrameKind.SESSION_OPEN))
+            assert peer.recv_frame(timeout_ms=2000).kind is FrameKind.SESSION_OPEN
+            if gap_s is None:
+                far.sendall(command + command)
+            else:
+                far.sendall(command)
+                time.sleep(gap_s)
+                far.sendall(command)
+            reply = peer.recv_frame(timeout_ms=2000)
+            assert reply == error_frame(ErrorReason.SESSION_STATE, "session not open")
+        finally:
+            peer.close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert errors == []
+        assert se.wallet_locked
+        assert not relay.session_open
+        assert parse_hex(SELECT_PPSE_C) not in seen
+
+    def test_read_timeout_bounds_the_whole_frame(self):
+        # a peer that sends one byte every 50 ms never lets a single recv time
+        # out, but the 200 ms deadline covers the frame, not each byte
+        near, far = socket.socketpair()
+        transport = SocketTransport(near)
+        stop = threading.Event()
+
+        def drip():
+            for byte in frame(FrameKind.R_APDU, bytes(40)):
+                if stop.wait(0.05):
+                    return
+                with contextlib.suppress(OSError):
+                    far.send(bytes((byte,)))
+
+        dripper = threading.Thread(target=drip, daemon=True)
+        dripper.start()
+        try:
+            started = time.monotonic()
+            with pytest.raises(ExchangeTimeout):
+                transport.recv_frame(timeout_ms=200)
+            assert time.monotonic() - started < 0.2 + 0.15
+            with pytest.raises(TransportClosed):  # it timed out mid-frame
+                transport.recv_frame(timeout_ms=200)
+        finally:
+            stop.set()
+            dripper.join(timeout=5)
+            transport.close()
+            far.close()
+        assert not dripper.is_alive()
