@@ -24,9 +24,6 @@ from typing import Optional, Sequence
 from .latency import DEFAULT_PARAMS, AccessPath, LatencyParams, sample_paths_at
 from .secure_element import ChannelOrigin, ISD_PREFIX_AID, SecureElement, select_command
 
-# SELECT card manager by its 7-byte name: 13-byte command, 105-byte response
-BENCH_SELECT_APDU = select_command(ISD_PREFIX_AID).to_bytes()
-
 
 class BenchmarkError(Exception):
     """The benchmark path did not deliver usable responses."""

@@ -17,7 +17,6 @@ import logging
 import math
 import socket
 import sys
-import time
 from pathlib import Path
 from typing import Optional
 
@@ -38,6 +37,7 @@ from .relay import (
     RemoteSecureElement,
     SecureElementHost,
     SocketTransport,
+    connect,
 )
 from .scenarios import (
     RelayAttackResult,
@@ -50,6 +50,9 @@ from .secure_element import ChannelOrigin, SecureElement
 from .terminal import TerminalConfig, TransactionReport
 
 logger = logging.getLogger(__name__)
+
+# how long a role keeps trying to reach a peer role that is still starting up
+PEER_WAIT_S = 30.0
 
 TAG_NAMES = {
     "6F": "FCI template",
@@ -96,8 +99,8 @@ def _positive_float(text: str) -> float:
 
 def _host_port(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
-    if not host or not port.isdigit():
-        raise argparse.ArgumentTypeError(f"{text!r} is not HOST:PORT")
+    if not host or not port.isdigit() or int(port) > 0xFFFF:
+        raise argparse.ArgumentTypeError(f"{text!r} is not HOST:PORT with a port of 0-65535")
     return host, int(port)
 
 
@@ -280,31 +283,17 @@ def cmd_decode(args: argparse.Namespace) -> int:
 def cmd_se_host(args: argparse.Namespace) -> int:
     se = _secure_element(args)
     host, _port = args.listen
-    listener = socket.create_server(args.listen, backlog=1)
-    print(f"secure element listening on {host}:{listener.getsockname()[1]}")
-    try:
-        while True:
-            conn, peer = listener.accept()
-            logger.info("SE host: connection from %s", peer)
-            SecureElementHost(se).serve(SocketTransport(conn))
-            if args.once:
-                return 0
-    except KeyboardInterrupt:
-        return 0
-    finally:
-        listener.close()
-
-
-def _connect_with_retry(host: str, port: int, timeout_s: float = 10.0) -> socket.socket:
-    """Keep trying while the peer role is still starting up."""
-    deadline = time.monotonic() + timeout_s
-    while True:
+    with socket.create_server(args.listen, backlog=1) as listener:
+        print(f"secure element listening on {host}:{listener.getsockname()[1]}")
         try:
-            return socket.create_connection((host, port), timeout=timeout_s)
-        except OSError:
-            if time.monotonic() >= deadline:
-                raise
-            time.sleep(0.05)
+            while True:
+                conn, peer = listener.accept()
+                logger.info("SE host: connection from %s", peer)
+                SecureElementHost(se).serve(SocketTransport(conn))
+                if args.once:
+                    return 0
+        except KeyboardInterrupt:
+            return 0
 
 
 def cmd_relay_app(args: argparse.Namespace) -> int:
@@ -312,12 +301,9 @@ def cmd_relay_app(args: argparse.Namespace) -> int:
     model = LatencyModel(
         AccessPath(args.model), seed, _load(LatencyParams, args.latency_params)
     )
-    if args.se == "inproc":
-        se = _secure_element(args)
-    else:
-        se = RemoteSecureElement(SocketTransport(_connect_with_retry(*args.se)))
+    se_link = None if args.se == "inproc" else connect(args.se, PEER_WAIT_S)
     relay = RelayApp(
-        se,
+        _secure_element(args) if se_link is None else RemoteSecureElement(se_link),
         model=model,
         pin=args.pin,
         hard_ceiling_ms=args.hard_ceiling_ms,
@@ -325,19 +311,18 @@ def cmd_relay_app(args: argparse.Namespace) -> int:
     host, port = args.connect
     print(f"relay app connecting to {host}:{port} (seed={seed})")
     try:
-        relay.serve(SocketTransport(_connect_with_retry(host, port, timeout_s=30.0)))
+        relay.serve(connect(args.connect, PEER_WAIT_S))
     finally:
-        if isinstance(se, RemoteSecureElement):
-            se.transport.close()
+        if se_link is not None:
+            se_link.close()
     return 0
 
 
 def cmd_emulator(args: argparse.Namespace) -> int:
     host, _port = args.listen
-    listener = socket.create_server(args.listen, backlog=1)
-    print(f"card emulator waiting for the relay app on {host}:{listener.getsockname()[1]}")
-    conn, peer = listener.accept()
-    listener.close()
+    with socket.create_server(args.listen, backlog=1) as listener:
+        print(f"card emulator waiting for the relay app on {host}:{listener.getsockname()[1]}")
+        conn, peer = listener.accept()
     print(f"relay app connected from {peer[0]}:{peer[1]}; activating field")
     result = _run_relayed_transaction(
         CardEmulator(SocketTransport(conn)),

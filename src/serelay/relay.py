@@ -242,6 +242,24 @@ class SocketTransport:
             self._sock.close()
 
 
+def connect(address: tuple[str, int], timeout_s: float) -> SocketTransport:
+    """A transport on a TCP connection to ``address``, made within ``timeout_s``.
+
+    A refused attempt is retried every 50 ms, since the peer role may still
+    be starting; any other ``OSError`` raises at once. All attempts share one
+    deadline, and each one may take only the time left.
+    """
+    deadline = time.monotonic() + timeout_s
+    while True:
+        try:
+            return SocketTransport(socket.create_connection(address, timeout=timeout_s))
+        except ConnectionRefusedError:
+            time.sleep(max(min(0.05, deadline - time.monotonic()), 0.0))
+            timeout_s = deadline - time.monotonic()
+            if timeout_s <= 0:
+                raise
+
+
 class InProcessTransport:
     """Single-threaded transport that runs a handler on the caller's thread.
 

@@ -30,6 +30,7 @@ from .relay import (
     RelayApp,
     SessionEndpoint,
     SocketTransport,
+    connect,
     unlock_wallet,
 )
 from .secure_element import ChannelOrigin, SecureElement
@@ -164,16 +165,14 @@ def _serve_over_loopback(relay: RelayApp) -> tuple[CardEmulator, threading.Threa
     """
     with socket.create_server(("127.0.0.1", 0), backlog=1) as listener:
         listener.settimeout(CONNECT_TIMEOUT_S)
-        relay_sock = socket.create_connection(
-            listener.getsockname(), timeout=CONNECT_TIMEOUT_S
-        )
+        relay_end = connect(listener.getsockname(), CONNECT_TIMEOUT_S)
         try:
             conn, _peer = listener.accept()
         except OSError:
-            relay_sock.close()
+            relay_end.close()
             raise
     relay_thread = threading.Thread(
-        target=relay.serve, args=(SocketTransport(relay_sock),), name="relay-app", daemon=True
+        target=relay.serve, args=(relay_end,), name="relay-app", daemon=True
     )
     relay_thread.start()
     return CardEmulator(SocketTransport(conn)), relay_thread

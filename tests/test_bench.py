@@ -7,7 +7,6 @@ import pytest
 from serelay import bench
 from serelay.apdu import CommandApdu
 from serelay.bench import (
-    BENCH_SELECT_APDU,
     BenchmarkError,
     BenchmarkSpec,
     Histogram,
@@ -20,11 +19,13 @@ from serelay.bench import (
 from serelay.latency import AccessPath, LatencyParams
 from serelay.profile import CardProfile
 from serelay.secure_element import (
+    ISD_PREFIX_AID,
     ChannelOrigin,
     PaymentApplet,
     PpseApplet,
     SecureElement,
     WalletControlApplet,
+    select_command,
 )
 
 
@@ -207,8 +208,10 @@ class TestRunBenchmark:
         assert run_benchmark(spec).counts == run_benchmark(spec).counts
 
     def test_workload_command_shape(self):
-        cmd = CommandApdu.parse(BENCH_SELECT_APDU)
-        assert len(BENCH_SELECT_APDU) == 13
+        # SELECT card manager by its 7-byte name: 13-byte command, 105-byte response
+        raw = select_command(ISD_PREFIX_AID).to_bytes()
+        cmd = CommandApdu.parse(raw)
+        assert len(raw) == 13
         assert cmd.data == bytes.fromhex("A0000000035350")
         se = SecureElement()
         se.open_session(ChannelOrigin.CONTACTLESS)

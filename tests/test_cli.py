@@ -472,6 +472,29 @@ class TestSeHost:
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["se-host", "--once", "--listen", "127.0.0.1:70000"],
+        ["emulator", "--listen", "127.0.0.1:65536"],
+        ["relay-app", "--connect", "127.0.0.1:99999"],
+        ["relay-app", "--connect", "127.0.0.1:9", "--se", "127.0.0.1:65536"],
+    ],
+    ids=["se-host-listen", "emulator-listen", "relay-app-connect", "relay-app-se"],
+)
+def test_port_above_65535_is_usage_error(argv, monkeypatch, capsys):
+    def wrapped_port(*args, **kwargs):
+        raise AssertionError("connected to a port that wrapped at 65536")
+
+    monkeypatch.setattr(socket, "create_connection", wrapped_port)
+    with pytest.raises(SystemExit) as exc_info:
+        main(argv)
+    assert exc_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"{argv[-1]!r} is not HOST:PORT with a port of 0-65535" in err
+    assert "Traceback" not in err
+
+
 class TestParserBuiltOnce:
     def test_one_parser_per_process(self):
         assert build_parser() is build_parser()

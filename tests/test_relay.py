@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import errno
 import math
 import random
 import socket
@@ -10,6 +11,7 @@ import pytest
 
 from genutil import SELECT_PPSE_C, SELECT_PPSE_R, SELECT_WALLET_C, UNLOCK_C
 from serelay.apdu import CommandApdu
+from serelay.cli import main
 from serelay.hexutil import format_hex, parse_hex
 from serelay.latency import AccessPath, LatencyModel, LatencyParams, VirtualClock
 from serelay.profile import CountermeasurePolicy
@@ -28,6 +30,7 @@ from serelay.relay import (
     SocketTransport,
     TransportClosed,
     WireFrame,
+    connect,
     error_frame,
     se_exchange,
 )
@@ -379,6 +382,61 @@ class TestTcpTransport:
         thread.join(timeout=5)
         assert not thread.is_alive()
         assert se.wallet_locked
+
+
+class TestConnect:
+    @staticmethod
+    def record_attempts(monkeypatch, attempt) -> list[tuple[float, float]]:
+        """Each connect attempt's ``(monotonic time, timeout)``."""
+        attempts = []
+
+        def recording(address, timeout):
+            attempts.append((time.monotonic(), timeout))
+            return attempt(address, timeout=timeout)
+
+        monkeypatch.setattr(socket, "create_connection", recording)
+        return attempts
+
+    def test_reaches_a_peer_that_starts_listening_late(self, monkeypatch):
+        attempts = self.record_attempts(monkeypatch, socket.create_connection)
+        # a bound socket refuses connections until it listens
+        with socket.socket() as server:
+            server.bind(("127.0.0.1", 0))
+            late = threading.Timer(0.3, server.listen)
+            late.start()
+            try:
+                connect(server.getsockname(), 5.0).close()
+            finally:
+                late.join(timeout=5)
+        assert attempts[-1][0] - attempts[0][0] >= 0.25
+
+    def test_refusals_are_retried_within_one_deadline(self, monkeypatch):
+        def refuse(address, timeout):
+            raise ConnectionRefusedError(errno.ECONNREFUSED, "Connection refused")
+
+        attempts = self.record_attempts(monkeypatch, refuse)
+        start = time.monotonic()
+        with pytest.raises(ConnectionRefusedError):
+            connect(("127.0.0.1", 9), 0.3)
+        assert 0.3 <= time.monotonic() - start < 0.5
+        assert len(attempts) > 2
+        # an attempt may take only what is left of the deadline (give or take
+        # the clock reads between connect's and this recorder's)
+        for at, timeout in attempts:
+            assert 0 < timeout <= start + 0.3 - at + 0.01
+
+    def test_any_other_error_is_a_usage_error_at_once(self, monkeypatch, capsys):
+        def unresolvable(address, timeout):
+            raise socket.gaierror(socket.EAI_NONAME, "Name or service not known")
+
+        attempts = self.record_attempts(monkeypatch, unresolvable)
+        start = time.monotonic()
+        with pytest.raises(SystemExit) as exc_info:
+            main(["relay-app", "--connect", "127.0.0.1:9"])
+        assert exc_info.value.code == 2
+        assert time.monotonic() - start < 1.0
+        assert len(attempts) == 1
+        assert "Name or service not known" in capsys.readouterr().err
 
 
 class TestSecureElementHost:

@@ -1,18 +1,25 @@
-"""Seeded round-trip properties of the two byte formats a run writes and reads.
+"""Seeded round-trip properties of every format a run writes and reads.
 
 A histogram read back from its own CSV equals the one written, at any bin
 width; a stream of wire frames read through :class:`SocketTransport` gives
-back every frame, however the bytes are cut into sends.
+back every frame, however the bytes are cut into sends. APDUs, TLV trees and
+config files parse back to the objects that wrote them.
 """
+import itertools
 import random
 import select
 import socket
 import threading
 import time
+from dataclasses import fields
 
 import pytest
 
+from serelay import tlv
+from serelay.apdu import CommandApdu, ResponseApdu
 from serelay.bench import Histogram, histogram_from_csv, histogram_to_csv
+from serelay.latency import LatencyParams
+from serelay.profile import CardProfile, CountermeasurePolicy, luhn_check_digit
 from serelay.relay import (
     MAX_PAYLOAD_LEN,
     ErrorReason,
@@ -21,6 +28,7 @@ from serelay.relay import (
     WireFrame,
     error_frame,
 )
+from serelay.secure_element import PREPAID_AID, WALLET_AID
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -121,3 +129,106 @@ def test_largest_frame_reads_back_behind_a_small_one():
     ]
     stream = b"".join(f.encode() for f in frames)
     assert read_back([stream], len(frames)) == frames
+
+
+@pytest.mark.parametrize(
+    "le, size", itertools.product((None, 0, 0xFF), (0, 1, 255)), ids=str
+)
+def test_command_apdus_parse_back(le, size):
+    r = random.Random(size)
+    for _ in range(20):
+        cmd = CommandApdu(*r.randbytes(4), data=r.randbytes(size), le=le)
+        assert CommandApdu.parse(cmd.to_bytes()) == cmd
+
+
+def test_response_apdus_parse_back():
+    r = random.Random(3)
+    for size in [0, 1, 2, 255, 256, *(r.randrange(300) for _ in range(50))]:
+        resp = ResponseApdu(r.randbytes(size), r.randrange(256), r.randrange(256))
+        assert ResponseApdu.parse(resp.to_bytes()) == resp
+
+
+# value lengths on both sides of each length form: one byte, 81 xx and 82 xx xx
+EDGE_LENGTHS = (0, 1, 0x7F, 0x80, 0xFF, 0x100)
+
+
+def random_tag(r: random.Random, size: int, constructed: bool) -> bytes:
+    first = r.choice((0x00, 0x40, 0x80, 0xC0)) | (tlv.CONSTRUCTED_BIT if constructed else 0)
+    if size == 1:
+        return bytes((first | r.randrange(0x1F),))
+    middle = bytes(0x80 | r.randrange(0x80) for _ in range(size - 2))
+    return bytes((first | 0x1F,)) + middle + bytes((r.randrange(0x80),))
+
+
+def random_tree(r: random.Random, depth: int) -> tlv.TlvNode:
+    size = r.randint(1, tlv.MAX_TAG_LEN)
+    if depth and r.random() < 0.5:
+        children = [random_tree(r, depth - 1) for _ in range(r.randrange(4))]
+        return tlv.TlvNode(random_tag(r, size, True), children=children)
+    value = r.randbytes(r.choice(EDGE_LENGTHS + (r.randrange(0x200),)))
+    return tlv.TlvNode(random_tag(r, size, False), value=value)
+
+
+@pytest.mark.parametrize("size", range(1, tlv.MAX_TAG_LEN + 1))
+@pytest.mark.parametrize("length", EDGE_LENGTHS)
+def test_tlv_edge_lengths_decode_back_under_every_tag_size(size, length):
+    r = random.Random(length)
+    leaf = tlv.TlvNode(random_tag(r, size, False), value=r.randbytes(length))
+    nodes = [tlv.TlvNode(random_tag(r, size, True), children=[leaf]), leaf]
+    assert tlv.decode(tlv.encode(nodes)) == nodes
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_tlv_trees_decode_back(seed):
+    r = random.Random(seed)
+    for _ in range(50):
+        nodes = [random_tree(r, depth=3) for _ in range(r.randrange(1, 4))]
+        assert tlv.decode(tlv.encode(nodes)) == nodes
+
+
+def _non_default_configs():
+    r = random.Random(11)
+    pan_base = "".join(r.choice("0123456789") for _ in range(15))
+    return [
+        CardProfile(
+            pan=pan_base + str(luhn_check_digit(pan_base)),
+            expiry="2912",
+            service_code="201",
+            discretionary="1234567890123",
+            track1_cvc3_bitmap=r.randbytes(6),
+            track1_unatc_bitmap=r.randbytes(6),
+            track2_cvc3_bitmap=r.randbytes(2),
+            track2_unatc_bitmap=r.randbytes(2),
+            track1_atc_digits=3,
+            track2_atc_digits=5,
+            cvc3_key=r.randbytes(16),
+            pin="0000",
+        ),
+        CountermeasurePolicy(
+            require_pin_on_card=True, internal_disabled_aids={PREPAID_AID, WALLET_AID}
+        ),
+        LatencyParams(
+            external_mean=12.5,
+            external_sd=0.1,
+            internal_low=1 / 3,
+            internal_high=2.75,
+            wifi_overhead_low=0.0,
+            wifi_overhead_high=1e-3,
+            internet_floor=149.9,
+            internet_fast_mode=0.2,
+            internet_fast_sigma=0.3,
+            internet_heavy_weight=1.0,
+            internet_heavy_floor=2000.0,
+            internet_heavy_median=1e4,
+            internet_heavy_sigma=0.7,
+        ),
+    ]
+
+
+@pytest.mark.parametrize("config", _non_default_configs(), ids=lambda c: type(c).__name__)
+def test_config_files_load_back(tmp_path, config):
+    default = type(config)()
+    assert all(getattr(config, f.name) != getattr(default, f.name) for f in fields(config))
+    path = tmp_path / "config.json"
+    config.save(path)
+    assert type(config).load(path) == config
