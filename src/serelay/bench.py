@@ -2,9 +2,10 @@
 
 Checks once that each chosen access path answers a SELECT of the card
 manager, on one secure element shared by every path, then draws the paths'
-modelled round-trip delays and bins them. The draw is one pass over the
-sample indices: each index's one digest gives every path's delay, appended to
-that path's column, and each spec bins its own copy of its path's column.
+modelled round-trip delays and bins them. The draw is one
+:func:`~serelay.latency.sample_columns` call: each index is hashed once, every
+path's column comes from those draws, and each spec bins its own copy of its
+path's column.
 The default layout is 160 bins of 50 ms where the last bin collects
 everything at or above 7950 ms, ``inf`` included; zoomed layouts are a matter
 of passing a different width/count. The CSV row labels of a layout are
@@ -21,12 +22,19 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .latency import DEFAULT_PARAMS, AccessPath, LatencyParams, sample_paths_at
+from .latency import DEFAULT_PARAMS, AccessPath, LatencyParams, sample_columns
 from .secure_element import ChannelOrigin, ISD_PREFIX_AID, SecureElement, select_command
 
 
 class BenchmarkError(Exception):
     """The benchmark path did not deliver usable responses."""
+
+
+def _check_layout(bin_width_ms: float, bin_count: int) -> None:
+    if not 0 < bin_width_ms < math.inf:
+        raise ValueError("bin_width_ms must be positive and finite")
+    if bin_count < 2:
+        raise ValueError("bin_count must be at least 2")
 
 
 @dataclass
@@ -39,10 +47,7 @@ class Histogram:
     total: int = 0
 
     def __post_init__(self) -> None:
-        if not 0 < self.bin_width_ms < math.inf:
-            raise ValueError("bin_width_ms must be positive and finite")
-        if self.bin_count < 2:
-            raise ValueError("bin_count must be at least 2")
+        _check_layout(self.bin_width_ms, self.bin_count)
         if not self.counts:
             self.counts = [0] * self.bin_count
         if len(self.counts) != self.bin_count:
@@ -177,6 +182,7 @@ class BenchmarkSpec:
     def __post_init__(self) -> None:
         if self.repetitions <= 0:
             raise ValueError("repetitions must be positive")
+        _check_layout(self.bin_width_ms, self.bin_count)
 
 
 def run_benchmark(spec: BenchmarkSpec, se: Optional[SecureElement] = None) -> Histogram:
@@ -196,9 +202,9 @@ def sample_benchmark(
 
     The specs must share seed, repetitions and params. The result holds one
     ``(histogram, delays)`` pair per spec, each equal to what the spec gives
-    alone; specs on one path get equal but separate lists. The draw goes
-    index-major: each repetition takes every path's delay from the index's
-    one digest.
+    alone; specs on one path get equal but separate lists. Every path's
+    column comes from one :func:`sample_columns` call, which hashes each
+    repetition's index once.
     """
     if len({(s.seed, s.repetitions, s.params) for s in specs}) != 1:
         raise ValueError("specs must share seed, repetitions and params")
@@ -206,7 +212,6 @@ def sample_benchmark(
         se = SecureElement()
     first = specs[0]
     params = first.params if first.params is not None else DEFAULT_PARAMS
-    paths = list(dict.fromkeys(s.path for s in specs))
     for s in specs:
         origin = (
             ChannelOrigin.CONTACTLESS
@@ -222,12 +227,8 @@ def sample_benchmark(
             raise BenchmarkError(
                 f"path {s.path.value} unavailable: workload answered {resp.sw:04X}"
             )
-    columns = {path: [] for path in paths}
-    appends = [(path, columns[path].append) for path in paths]
-    for index in range(first.repetitions):
-        draw = sample_paths_at(paths, first.seed, index, params)
-        for path, append in appends:
-            append(draw[path])
+    paths = [s.path for s in specs]
+    columns = sample_columns(paths, first.seed, range(first.repetitions), params)
     results = []
     for s in specs:
         hist = Histogram(bin_width_ms=s.bin_width_ms, bin_count=s.bin_count)

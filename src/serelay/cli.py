@@ -185,9 +185,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     paths = (
         list(AccessPath) if args.path == "all" else [AccessPath(args.path)]
     )
-    out_dir = Path(args.out) if args.out else None
-    if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
     params = _load(LatencyParams, args.latency_params)
     specs = [
         BenchmarkSpec(
@@ -200,6 +197,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         )
         for path in paths
     ]
+    out_dir = Path(args.out) if args.out else None
+    if out_dir:
+        out_dir.mkdir(parents=True, exist_ok=True)
     for path, (hist, samples) in zip(paths, sample_benchmark(specs)):
         samples.sort()
         median = samples[len(samples) // 2]

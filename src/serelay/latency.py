@@ -17,8 +17,11 @@ the same seed pair up sample-by-sample by construction:
 ``wifi.sample_at(k) - internal.sample_at(k)`` is exactly the WiFi overhead
 drawn for index ``k`` from ``u1``. The external path is a Box-Muller normal
 on ``u0, u1``; the internet path picks its branch by ``u1`` and draws its
-log-normal through a Box-Muller normal on ``u2, u3``. No generator state is
-kept, so a delay is a pure function of seed, index and parameters.
+log-normal through a Box-Muller normal on ``u2, u3``. Each path's delay is
+one function of the draw, shared by :func:`sample_columns` and
+:meth:`LatencyModel.sample_at`. Both build the digest state of ``f"{seed}:"``
+once and hash each index on a copy, never on the state itself, so a delay is
+a pure function of seed, index and parameters.
 """
 from __future__ import annotations
 
@@ -30,6 +33,7 @@ import sys
 import time
 from dataclasses import dataclass, fields
 from enum import Enum
+from itertools import repeat
 from math import cos, exp, log, sqrt, tau
 from typing import Iterable, Optional
 
@@ -118,44 +122,71 @@ class LatencyParams(JsonConfig):
 _WORDS = struct.Struct("<4Q").unpack
 _UNIT = 2.0**-53
 _Z_MAX = math.sqrt(-2.0 * math.log(_UNIT))  # the largest |z| of a Box-Muller draw
+_BATCH = 4096
 DEFAULT_PARAMS = LatencyParams()
-# enum class attributes resolve slowly; the per-path branch compares against these
-_EXTERNAL, _INTERNAL, _WIFI = (
-    AccessPath.DIRECT_EXTERNAL, AccessPath.DIRECT_INTERNAL, AccessPath.RELAY_WIFI
-)
 
 
-def sample_paths_at(
-    paths: Iterable[AccessPath], seed: int, index: int, params: LatencyParams
-) -> dict[AccessPath, float]:
-    """The delay at ``index`` of each of ``paths``, all from the index's one digest."""
-    words = _WORDS(hashlib.blake2b(f"{seed}:{index}".encode(), digest_size=32).digest())
-    u0 = (words[0] >> 11) * _UNIT
-    u1 = (words[1] >> 11) * _UNIT
-    p = params
-    base = p.internal_low + p._internal_span * u0
-    delays = {}
-    for path in paths:
-        if path is _EXTERNAL:
-            # Box-Muller standard normal on u0, u1
-            z = cos(u0 * tau) * sqrt(-2.0 * log(1.0 - u1))
-            delays[path] = max(0.0, p.external_mean + z * p.external_sd)
-        elif path is _INTERNAL:
-            delays[path] = base
-        elif path is _WIFI:
-            delays[path] = base + (p.wifi_overhead_low + p._wifi_span * u1)
-        else:
-            # internet: floored fast component mixed with a heavy (>=1 s) one,
-            # chosen by u1; the log-normal's normal comes from u2 and u3
-            z = cos((words[2] >> 11) * _UNIT * tau) * sqrt(
-                -2.0 * log(1.0 - (words[3] >> 11) * _UNIT)
-            )
-            if u1 < p.internet_heavy_weight:
-                overhead = p.internet_heavy_floor + exp(p._heavy_mu + p.internet_heavy_sigma * z)
-            else:
-                overhead = p.internet_floor + exp(p._fast_mu + p.internet_fast_sigma * z)
-            delays[path] = base + overhead
-    return delays
+def _external(p: LatencyParams, u0: float, u1: float, w2: int, w3: int) -> float:
+    # Box-Muller standard normal on u0, u1
+    z = cos(u0 * tau) * sqrt(-2.0 * log(1.0 - u1))
+    return max(0.0, p.external_mean + z * p.external_sd)
+
+
+def _internal(p: LatencyParams, u0: float, u1: float, w2: int, w3: int) -> float:
+    return p.internal_low + p._internal_span * u0
+
+
+def _wifi(p: LatencyParams, u0: float, u1: float, w2: int, w3: int) -> float:
+    return p.internal_low + p._internal_span * u0 + (p.wifi_overhead_low + p._wifi_span * u1)
+
+
+def _internet(p: LatencyParams, u0: float, u1: float, w2: int, w3: int) -> float:
+    # floored fast component mixed with a heavy (>=1 s) one, chosen by u1; the
+    # log-normal's normal comes from u2 and u3, the top 53 bits of w2 and w3
+    z = cos((w2 >> 11) * _UNIT * tau) * sqrt(-2.0 * log(1.0 - (w3 >> 11) * _UNIT))
+    if u1 < p.internet_heavy_weight:
+        overhead = p.internet_heavy_floor + exp(p._heavy_mu + p.internet_heavy_sigma * z)
+    else:
+        overhead = p.internet_floor + exp(p._fast_mu + p.internet_fast_sigma * z)
+    return p.internal_low + p._internal_span * u0 + overhead
+
+
+_DELAYS = {
+    AccessPath.DIRECT_EXTERNAL: _external,
+    AccessPath.DIRECT_INTERNAL: _internal,
+    AccessPath.RELAY_WIFI: _wifi,
+    AccessPath.RELAY_INTERNET: _internet,
+}
+
+
+def _seed_state(seed: int) -> hashlib.blake2b:
+    """The digest state after ``f"{seed}:"``; each index hashes on a copy of it."""
+    return hashlib.blake2b(f"{seed}:".encode(), digest_size=32)
+
+
+def sample_columns(
+    paths: Iterable[AccessPath], seed: int, indices: range, params: LatencyParams
+) -> dict[AccessPath, list[float]]:
+    """Each of ``paths``' delays at ``indices``, each index hashed once for all paths.
+
+    Indices are drawn in batches of :data:`_BATCH`, so the digests and words
+    held at once stay small however long the range is.
+    """
+    copy = _seed_state(seed).copy
+    columns = {path: [] for path in paths}
+    for start in range(0, len(indices), _BATCH):
+        digests = []
+        for index in indices[start:start + _BATCH]:
+            h = copy()
+            h.update(str(index).encode())
+            digests.append(h.digest())
+        words = struct.unpack(f"<{4 * len(digests)}Q", b"".join(digests))
+        u0 = [(w >> 11) * _UNIT for w in words[0::4]]
+        u1 = [(w >> 11) * _UNIT for w in words[1::4]]
+        draws = (repeat(params), u0, u1, words[2::4], words[3::4])
+        for path, column in columns.items():
+            column.extend(map(_DELAYS[path], *draws))
+    return columns
 
 
 class LatencyModel:
@@ -171,10 +202,19 @@ class LatencyModel:
         self.seed = seed
         self.params = params if params is not None else DEFAULT_PARAMS
         self._index = 0
+        self._state = _seed_state(seed)
+        self._delay = _DELAYS[self.path]
+
+    def __reduce__(self):
+        # a digest state does not pickle; copies and pickles rebuild it from the seed
+        return type(self), (self.path, self.seed, self.params), {"_index": self._index}
 
     def sample_at(self, index: int) -> float:
         """Delay for the given sample index; pure in (seed, index)."""
-        return sample_paths_at((self.path,), self.seed, index, self.params)[self.path]
+        h = self._state.copy()
+        h.update(str(index).encode())
+        w0, w1, w2, w3 = _WORDS(h.digest())
+        return self._delay(self.params, (w0 >> 11) * _UNIT, (w1 >> 11) * _UNIT, w2, w3)
 
     def sample_ms(self) -> float:
         """Next delay in the model's sequence."""
@@ -183,7 +223,10 @@ class LatencyModel:
         return value
 
     def samples(self, count: int) -> list[float]:
-        return [self.sample_ms() for _ in range(count)]
+        """The next ``count`` delays in the model's sequence."""
+        indices = range(self._index, self._index + count)
+        self._index += len(indices)
+        return sample_columns((self.path,), self.seed, indices, self.params)[self.path]
 
 
 class WallClock:

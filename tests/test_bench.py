@@ -16,6 +16,7 @@ from serelay.bench import (
     run_benchmark,
     sample_benchmark,
 )
+from serelay.cli import main
 from serelay.latency import AccessPath, LatencyParams
 from serelay.profile import CardProfile
 from serelay.secure_element import (
@@ -241,7 +242,7 @@ class TestRunBenchmark:
         def no_draw(*args):
             raise AssertionError("a delay was drawn")
 
-        monkeypatch.setattr(bench, "sample_paths_at", no_draw)
+        monkeypatch.setattr(bench, "sample_columns", no_draw)
         profile = CardProfile()
         se = SecureElement(
             profile=profile,
@@ -254,6 +255,32 @@ class TestRunBenchmark:
     def test_bad_spec_rejected(self):
         with pytest.raises(ValueError):
             BenchmarkSpec(repetitions=0)
+
+    @pytest.mark.parametrize(
+        "layout, message",
+        [
+            ({"bin_count": 1}, "bin_count must be at least 2"),
+            ({"bin_count": 0}, "bin_count must be at least 2"),
+            ({"bin_width_ms": 0.0}, "bin_width_ms must be positive and finite"),
+            ({"bin_width_ms": math.inf}, "bin_width_ms must be positive and finite"),
+            ({"bin_width_ms": math.nan}, "bin_width_ms must be positive and finite"),
+        ],
+    )
+    def test_bad_layout_rejected_by_the_spec(self, layout, message):
+        with pytest.raises(ValueError, match=message):
+            BenchmarkSpec(**layout)
+
+    def test_bad_layout_fails_before_any_draw(self, monkeypatch, capsys, tmp_path):
+        def no_draw(*args):
+            raise AssertionError("a delay was drawn")
+
+        monkeypatch.setattr(bench, "sample_columns", no_draw)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc_info:
+            main(["bench", "--path", "all", "--bins", "1", "--reps", "300000", "--out", str(out)])
+        assert exc_info.value.code == 2
+        assert "bin_count must be at least 2" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSampleIndexMajor:

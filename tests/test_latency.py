@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import itertools
 import json
 import math
 import pickle
@@ -16,13 +17,14 @@ from dataclasses import fields, replace
 
 import pytest
 
+from serelay import latency
 from serelay.latency import (
     AccessPath,
     LatencyModel,
     LatencyParams,
     VirtualClock,
     WallClock,
-    sample_paths_at,
+    sample_columns,
 )
 
 SAMPLES = 5000
@@ -214,6 +216,11 @@ def hash_reference(path: AccessPath, seed: int, index: int, p: LatencyParams) ->
     return base + overhead
 
 
+def reference_columns(paths, seed: int, indices: range, p: LatencyParams) -> dict:
+    """:func:`hash_reference` at each of ``indices``, one column per distinct path."""
+    return {path: [hash_reference(path, seed, k, p) for k in indices] for path in paths}
+
+
 def stdlib_reference(path: AccessPath, seed: int, index: int, p: LatencyParams) -> float:
     """The Mersenne Twister stream that the keyed hash replaced.
 
@@ -264,16 +271,69 @@ class TestBitIdentity:
     @pytest.mark.parametrize("params", PARAM_SETS.values(), ids=PARAM_SETS.keys())
     def test_all_paths_from_one_generator(self, params):
         for seed in IDENTITY_SEEDS:
-            for k in range(300):
-                expected = {
-                    path: hash_reference(path, seed, k, params) for path in AccessPath
-                }
-                assert sample_paths_at(AccessPath, seed, k, params) == expected
-                # any subset, in any order, gets the same values
-                subset = (AccessPath.RELAY_INTERNET, AccessPath.DIRECT_EXTERNAL)
-                assert sample_paths_at(subset, seed, k, params) == {
-                    path: expected[path] for path in subset
-                }
+            expected = reference_columns(AccessPath, seed, range(300), params)
+            assert sample_columns(AccessPath, seed, range(300), params) == expected
+            # any subset, in any order, gets the same values
+            subset = (AccessPath.RELAY_INTERNET, AccessPath.DIRECT_EXTERNAL)
+            assert sample_columns(subset, seed, range(300), params) == {
+                path: expected[path] for path in subset
+            }
+
+    @pytest.mark.parametrize("params", PARAM_SETS.values(), ids=PARAM_SETS.keys())
+    def test_columns_for_any_paths_in_any_order(self, params):
+        subsets = [
+            *itertools.permutations(AccessPath, 2),
+            (AccessPath.RELAY_WIFI, AccessPath.DIRECT_INTERNAL, AccessPath.RELAY_WIFI),
+            (AccessPath.RELAY_INTERNET,) * 3,
+            tuple(reversed(AccessPath)),
+        ]
+        for seed in IDENTITY_SEEDS:
+            for paths in subsets:
+                columns = sample_columns(paths, seed, range(40), params)
+                assert list(columns) == list(dict.fromkeys(paths))
+                assert columns == reference_columns(paths, seed, range(40), params)
+
+    @pytest.mark.parametrize("params", PARAM_SETS.values(), ids=PARAM_SETS.keys())
+    @pytest.mark.parametrize(
+        "indices", [range(997, 1100), range(5, 5), range(42, 43)]
+    )
+    def test_columns_for_any_index_range(self, params, indices):
+        for seed in IDENTITY_SEEDS:
+            assert sample_columns(AccessPath, seed, indices, params) == reference_columns(
+                AccessPath, seed, indices, params
+            )
+
+    @pytest.mark.parametrize("params", PARAM_SETS.values(), ids=PARAM_SETS.keys())
+    def test_columns_across_batches(self, params, monkeypatch):
+        monkeypatch.setattr(latency, "_BATCH", 7)
+        for seed in IDENTITY_SEEDS:
+            for indices in (range(3, 40), range(0, 14), range(100, 108)):
+                assert sample_columns(AccessPath, seed, indices, params) == reference_columns(
+                    AccessPath, seed, indices, params
+                )
+
+    def test_columns_across_the_default_batch(self):
+        indices = range(50, 50 + latency._BATCH + 100)
+        assert sample_columns(AccessPath, 11, indices, LatencyParams()) == reference_columns(
+            AccessPath, 11, indices, LatencyParams()
+        )
+
+    @pytest.mark.parametrize("seed", IDENTITY_SEEDS)
+    @pytest.mark.parametrize("params", PARAM_SETS.values(), ids=PARAM_SETS.keys())
+    def test_sample_at_out_of_order_and_repeated(self, seed, params):
+        # a digest state updated in place would make each call depend on the last
+        for path in AccessPath:
+            m = LatencyModel(path, seed, params)
+            for k in (5, 0, 5, 2999, 1, 1, 0, 10**12):
+                assert m.sample_at(k) == hash_reference(path, seed, k, params), (path, k)
+
+    @pytest.mark.parametrize("params", PARAM_SETS.values(), ids=PARAM_SETS.keys())
+    def test_samples_continue_the_sequence(self, params):
+        for seed in IDENTITY_SEEDS:
+            for path in AccessPath:
+                m = LatencyModel(path, seed, params)
+                drawn = [m.sample_ms(), *m.samples(3), *m.samples(0), m.sample_ms()]
+                assert drawn == [m.sample_at(k) for k in range(5)]
 
     def test_sample_grid_digest(self):
         # captured when the draw became a keyed hash
@@ -285,10 +345,21 @@ class TestBitIdentity:
         params = make(tmp_path / "latency.json")
         assert params == LatencyParams(**CHANGED_FIELDS)
         for seed in IDENTITY_SEEDS:
-            for k in range(200):
-                assert sample_paths_at(AccessPath, seed, k, params) == {
-                    path: hash_reference(path, seed, k, params) for path in AccessPath
-                }
+            assert sample_columns(AccessPath, seed, range(200), params) == reference_columns(
+                AccessPath, seed, range(200), params
+            )
+
+    @pytest.mark.parametrize(
+        "make",
+        [copy.copy, copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copied_model_keeps_its_draw_and_position(self, make):
+        m = LatencyModel(AccessPath.RELAY_INTERNET, 7, LatencyParams(**CHANGED_FIELDS))
+        m.samples(3)
+        c = make(m)
+        assert (c.path, c.seed, c.params) == (m.path, m.seed, m.params)
+        assert c.samples(2) == m.samples(2) == [m.sample_at(3), m.sample_at(4)]
 
     def test_save_writes_only_the_fields(self, tmp_path):
         LatencyParams(**CHANGED_FIELDS).save(tmp_path / "latency.json")

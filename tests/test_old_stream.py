@@ -1,8 +1,9 @@
 """The Mersenne Twister stream's pins, replayed through the stdlib reference.
 
 Before the latency draw became a keyed hash, every seeded delay came from
-``random.Random(f"{seed}:{index}")``. This module patches both bindings of
-:func:`serelay.latency.sample_paths_at` with that stream, restated by
+``random.Random(f"{seed}:{index}")``. This module patches
+:func:`serelay.latency.sample_columns` (its bindings in ``latency`` and
+``bench``) and ``LatencyModel.sample_at`` with that stream, restated by
 ``test_latency.stdlib_reference``, and checks the report grid, the sample grid
 and the bench output against the values the old code produced, kept verbatim.
 Passing shows that only the draw changed: everything built on the delays makes
@@ -35,14 +36,19 @@ BENCH_CSV_DIGESTS = {
 }
 
 
-def old_stream(paths, seed, index, params):
-    return {path: stdlib_reference(path, seed, index, params) for path in paths}
+def old_columns(paths, seed, indices, params):
+    return {path: [stdlib_reference(path, seed, k, params) for k in indices] for path in paths}
+
+
+def old_sample_at(model, index):
+    return stdlib_reference(model.path, model.seed, index, model.params)
 
 
 @pytest.fixture(autouse=True)
 def mersenne_twister_stream(monkeypatch):
-    monkeypatch.setattr(latency, "sample_paths_at", old_stream)
-    monkeypatch.setattr(bench, "sample_paths_at", old_stream)
+    monkeypatch.setattr(latency, "sample_columns", old_columns)
+    monkeypatch.setattr(bench, "sample_columns", old_columns)
+    monkeypatch.setattr(latency.LatencyModel, "sample_at", old_sample_at)
 
 
 def test_report_grid():
