@@ -98,7 +98,7 @@ class ExchangeTimeout(Exception):
 
 _BARE_KINDS = (FrameKind.SESSION_OPEN, FrameKind.SESSION_CLOSE)
 # the kind of each first byte, None where the byte names no kind
-_KIND_OF_BYTE = tuple({kind.value: kind for kind in FrameKind}.get(byte) for byte in range(256))
+_KIND_OF_BYTE = tuple(map({kind.value: kind for kind in FrameKind}.get, range(256)))
 
 
 @dataclass(frozen=True)
@@ -299,6 +299,10 @@ class InProcessTransport:
 _COMMAND_MEMO_SIZE = 32
 _parse_command = functools.lru_cache(maxsize=_COMMAND_MEMO_SIZE)(CommandApdu.parse)
 
+# the selections every relay session opens with, built once
+_SELECT_WALLET = select_command(WALLET_AID)
+_SELECT_PAYMENT = select_command(PREPAID_AID)
+
 
 def se_exchange(se, origin: ChannelOrigin, capdu: bytes) -> bytes:
     """Hand one raw C-APDU to the secure element and return the raw R-APDU.
@@ -320,7 +324,7 @@ def unlock_wallet(se, pin: Optional[str] = None) -> Optional[WireFrame]:
     wallet stayed locked, or ``None`` once it is unlocked.
     """
     se.open_session(ChannelOrigin.INTERNAL)
-    if not se.process(ChannelOrigin.INTERNAL, select_command(WALLET_AID)).is_success:
+    if not se.process(ChannelOrigin.INTERNAL, _SELECT_WALLET).is_success:
         return error_frame(ErrorReason.ACCESS_DENIED, "on-card component")
     if pin is not None:
         se.process(ChannelOrigin.INTERNAL, verify_command(pin))
@@ -366,11 +370,14 @@ class SessionEndpoint:
 
     def _relay(self, capdu: bytes, deadline_ms: Optional[float], wake) -> list[WireFrame]:
         delay_ms = self.model.sample_ms() if self.model is not None else 0.0
-        limit = min(x for x in (self.hard_ceiling_ms, deadline_ms, math.inf) if x is not None)
+        limit = math.inf if deadline_ms is None else deadline_ms
+        ceiling = self.hard_ceiling_ms
+        if ceiling is not None and not limit < ceiling:  # the ceiling wins a tie
+            limit = ceiling
         if self.clock.sleep_ms(delay_ms, limit, wake):
             return [WireFrame(FrameKind.R_APDU, se_exchange(self.se, self.origin, capdu))]
         self.end_session()  # the command never reaches the SE
-        if limit == self.hard_ceiling_ms:
+        if limit == ceiling:
             return [error_frame(ErrorReason.TIMEOUT, f"{delay_ms:.0f}ms")]
         return []
 
@@ -458,7 +465,7 @@ class RelayApp(SecureElementHost):
         if failure is not None:
             return failure
         # probe that the payment applet is actually reachable on this channel
-        probe = self.se.process(ChannelOrigin.INTERNAL, select_command(PREPAID_AID))
+        probe = self.se.process(ChannelOrigin.INTERNAL, _SELECT_PAYMENT)
         if not probe.is_success:
             return error_frame(ErrorReason.ACCESS_DENIED, "payment applet")
         return None

@@ -378,6 +378,17 @@ class CardManagerStub(Applet):
         return CARD_MANAGER_REPLY
 
 
+# Applets keep no state of their own (it lives on the SecureElement), so one
+# default set serves every instance built from an equal profile.
+@functools.lru_cache(maxsize=_RESPONSE_MEMO_SIZE)
+def _default_applets(profile: CardProfile) -> tuple[Applet, ...]:
+    return (PpseApplet(), PaymentApplet(profile), WalletControlApplet(), CardManagerStub())
+
+
+_DEFAULT_PROFILE = CardProfile()
+_DEFAULT_POLICY = CountermeasurePolicy()
+
+
 class SecureElement:
     """One secure element instance with per-channel selection state.
 
@@ -393,15 +404,12 @@ class SecureElement:
         atc: int = 0,
         wallet_locked: bool = True,
     ):
-        self.profile = profile if profile is not None else CardProfile()
-        self.policy = policy if policy is not None else CountermeasurePolicy()
+        if not (isinstance(atc, int) and 0 <= atc <= 0xFFFF):
+            raise ValueError(f"atc must be an integer 0-65535, got {atc!r}")
+        self.profile = profile if profile is not None else _DEFAULT_PROFILE
+        self.policy = policy if policy is not None else _DEFAULT_POLICY
         if applets is None:
-            applets = (
-                PpseApplet(),
-                PaymentApplet(self.profile),
-                WalletControlApplet(),
-                CardManagerStub(),
-            )
+            applets = _default_applets(self.profile)
         self.registry: Dict[bytes, Applet] = {}
         for applet in applets:
             for aid in applet.aids:
@@ -415,7 +423,7 @@ class SecureElement:
                 + ", ".join(sorted(a.hex() for a in unknown))
             )
         self.wallet_locked = wallet_locked
-        self.atc = atc & 0xFFFF
+        self.atc = atc
         self.pin_retries = PIN_RETRY_LIMIT
         self.pin_verified = False
         self.contactless_disabled: set[bytes] = set()

@@ -120,6 +120,29 @@ class TestRelayAttack:
         )
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["relay-attack", "--seed", "7"], ["pos-direct", "--seed", "7"], ["se-host", "--once"]],
+        ids=["relay-attack", "pos-direct", "se-host"],
+    )
+    @pytest.mark.parametrize("atc", ["70000", "65536", "-1"])
+    def test_atc_outside_two_bytes_is_usage_error(self, monkeypatch, capsys, argv, atc):
+        # refused before any run or listen, never wrapped (70000 would run as 4464)
+        def wrapped_atc(*args, **kwargs):
+            raise AssertionError("listened with an ATC that wrapped")
+
+        monkeypatch.setattr(socket, "create_server", wrapped_atc)
+        with pytest.raises(SystemExit) as exc_info:
+            main([*argv, f"--atc={atc}"])
+        assert exc_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"serelay: error: atc must be an integer 0-65535, got {int(atc)}\n"
+        assert captured.out == ""
+
+    def test_last_atc_approves_and_rolls_over(self, capsys):
+        assert main(["relay-attack", "--seed", "7", "--atc", "65535"]) == 0
+        assert "cryptogram: atc=0 " in capsys.readouterr().out
+
     def test_identical_seeds_identical_outputs(self, tmp_path):
         for name in ("a", "b"):
             rc = main(["relay-attack", "--seed", "11", "--out", str(tmp_path / name)])

@@ -58,6 +58,15 @@ class TestWireFrame:
         with pytest.raises(RelayProtocolError):
             WireFrame.decode(b"\x7f\x00\x00")
 
+    def test_every_first_byte_names_its_kind_or_none(self):
+        kinds = {kind.value: kind for kind in FrameKind}
+        for byte in range(256):
+            if byte in kinds:
+                assert WireFrame.decode(bytes((byte, 0, 0))).kind is kinds[byte]
+            else:
+                with pytest.raises(RelayProtocolError, match=f"unknown frame kind {byte:#04x}"):
+                    WireFrame.decode(bytes((byte, 0, 0)))
+
     def test_truncated_rejected(self):
         with pytest.raises(RelayProtocolError):
             WireFrame.decode(b"\x03\x00\x05\x01")
@@ -272,6 +281,47 @@ class TestLatencyInjection:
         with pytest.raises(ValueError, match="hard_ceiling_ms"):
             run_relay_attack(seed=1, hard_ceiling_ms=ceiling_ms, transport=transport)
         assert relay_threads() == before
+
+    @pytest.mark.parametrize(
+        "ceiling_ms, deadline_ms, limit_ms, timeout_frame",
+        [
+            (None, None, math.inf, False),
+            (None, 200.0, 200.0, False),
+            (None, 300.0, 300.0, False),
+            (None, 400.0, 400.0, False),
+            (300.0, None, 300.0, True),
+            (300.0, 200.0, 200.0, False),
+            (300.0, 300.0, 300.0, True),  # a tie is the ceiling's
+            (300.0, 400.0, 300.0, True),
+        ],
+    )
+    def test_wait_limit_and_cut_short_reply(self, ceiling_ms, deadline_ms, limit_ms, timeout_frame):
+        class CutShortClock:
+            """Takes no time and ends every wait early, recording its limit."""
+
+            def __init__(self):
+                self.limits = []
+
+            def sleep_ms(self, duration_ms, limit_ms, wake=None):
+                self.limits.append(limit_ms)
+                return False
+
+        class FixedDelay:
+            def sample_ms(self):
+                return 1000.0
+
+        clock = CutShortClock()
+        se = SecureElement()
+        relay = RelayApp(se, model=FixedDelay(), clock=clock, hard_ceiling_ms=ceiling_ms)
+        relay.handle_frame(WireFrame(FrameKind.SESSION_OPEN))
+        replies = relay.handle_frame(
+            WireFrame(FrameKind.C_APDU, parse_hex(SELECT_PPSE_C)), deadline_ms=deadline_ms
+        )
+        assert clock.limits == [limit_ms]
+        assert replies == ([error_frame(ErrorReason.TIMEOUT, "1000ms")] if timeout_frame else [])
+        assert not relay.session_open
+        assert se.wallet_locked
+        assert se.selected[ChannelOrigin.INTERNAL] is None
 
     def test_zero_delay_model(self):
         clock = VirtualClock()

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import hmac
 import itertools
@@ -41,6 +42,7 @@ from serelay.secure_element import (
     SecureElement,
     WALLET_AID,
     WalletControlApplet,
+    verify_command,
 )
 from serelay.tlv import TlvNode
 
@@ -794,3 +796,70 @@ class TestMemoizedResponses:
         assert first.data != second.data
         atcs = [tlv.find(tlv.decode(r.data), [0x77, 0x9F36]) for r in (first, second)]
         assert atcs == [parse_hex("0012"), parse_hex("0013")]
+
+
+class TestSharedApplets:
+    @pytest.mark.parametrize("same", [True, False], ids=["one_profile", "equal_profiles"])
+    def test_equal_profiles_share_applets_but_not_state(self, same):
+        profile = CUSTOM_CONFIG["profile"]
+        other = profile if same else dataclasses.replace(profile)
+        assert other == profile and (other is profile) == same
+        a = SecureElement(profile=profile, atc=9)
+        b = SecureElement(profile=other, atc=9)
+        assert a.registry is not b.registry
+        assert a.registry.keys() == b.registry.keys()
+        assert all(a.registry[aid] is b.registry[aid] for aid in a.registry)
+        assert b.profile is other
+        # move every piece of per-instance state on a alone
+        a.open_session(INTERNAL)
+        assert send(a, INTERNAL, SELECT_WALLET_C).is_success
+        assert a.process(INTERNAL, verify_command("0000")).sw == 0x63C2
+        assert send(a, INTERNAL, UNLOCK_C).is_success
+        assert send(a, INTERNAL, DISABLE_CARD_C).is_success
+        a.open_session(CONTACTLESS)
+        assert select(a, CONTACTLESS, PPSE_AID).is_success
+        assert select(a, INTERNAL, PREPAID_AID).is_success
+        assert send(a, INTERNAL, COMPUTE_CC_C).is_success
+        assert (a.atc, a.wallet_locked, a.pin_retries) == (10, False, 2)
+        assert a.contactless_disabled == {PREPAID_AID}
+        assert a.selected == {INTERNAL: PREPAID_AID, CONTACTLESS: PPSE_AID}
+        assert (b.atc, b.wallet_locked, b.pin_retries) == (9, True, 3)
+        assert b.contactless_disabled == set()
+        assert b.selected == {INTERNAL: None, CONTACTLESS: None}
+        b.open_session(CONTACTLESS)
+        assert select(b, CONTACTLESS, PREPAID_AID).sw == 0x6985
+
+    def test_default_se_shares_applets_with_a_default_profile(self):
+        default, explicit = SecureElement(), SecureElement(profile=CardProfile())
+        assert all(default.registry[aid] is explicit.registry[aid] for aid in default.registry)
+        custom = SecureElement(profile=CUSTOM_CONFIG["profile"])
+        assert custom.registry[PREPAID_AID] is not default.registry[PREPAID_AID]
+
+    def test_custom_applets_are_used_as_given(self):
+        applets = (PpseApplet(((MASTERCARD_AID, 1),)), WalletControlApplet())
+        se = SecureElement(applets=applets)
+        assert se.registry.keys() == {PPSE_AID, WALLET_AID}
+        assert se.registry[PPSE_AID] is applets[0]
+        assert se.registry[WALLET_AID] is applets[1]
+        # nor do given applets leak into the default set
+        assert SecureElement().registry[PPSE_AID] is not applets[0]
+
+
+class TestAtcRange:
+    @pytest.mark.parametrize("atc", [-1, 0x10000, 70000, 1.5])
+    def test_start_outside_two_bytes_is_refused(self, atc):
+        # a float passes a range check alone, then breaks COMPUTE CC mid-run
+        with pytest.raises(ValueError, match=f"atc must be an integer 0-65535, got {atc!r}"):
+            SecureElement(atc=atc)
+
+    @pytest.mark.parametrize("atc", [0, 0xFFFF])
+    def test_start_inside_two_bytes_is_kept(self, atc):
+        assert SecureElement(atc=atc).atc == atc
+
+    def test_compute_cc_rolls_over_to_zero(self):
+        se = unlocked_se(atc=0xFFFF)
+        se.open_session(CONTACTLESS)
+        assert send(se, CONTACTLESS, SELECT_AID_C).is_success
+        resp = send(se, CONTACTLESS, COMPUTE_CC_C)
+        assert tlv.find(tlv.decode(resp.data), [0x77, 0x9F36]) == b"\x00\x00"
+        assert se.atc == 0
