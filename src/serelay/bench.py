@@ -44,7 +44,6 @@ class Histogram:
     bin_width_ms: float = 50.0
     bin_count: int = 160
     counts: list[int] = field(default_factory=list)
-    total: int = 0
 
     def __post_init__(self) -> None:
         _check_layout(self.bin_width_ms, self.bin_count)
@@ -52,6 +51,10 @@ class Histogram:
             self.counts = [0] * self.bin_count
         if len(self.counts) != self.bin_count:
             raise ValueError("counts length must equal bin_count")
+
+    @property
+    def total(self) -> int:
+        return sum(self.counts)
 
     @property
     def overflow_threshold_ms(self) -> float:
@@ -74,7 +77,6 @@ class Histogram:
         if index >= self.bin_count - 1:
             index = self.bin_count - 1
         self.counts[index] += 1
-        self.total += 1
 
 
 def _fmt(value: float) -> str:
@@ -142,12 +144,7 @@ def histogram_from_csv(text: str) -> Histogram:
         if width is not None and not _close(start, i * width):
             raise ValueError(f"row {i} does not start on a bin boundary")
     assert width is not None
-    return Histogram(
-        bin_width_ms=width,
-        bin_count=len(rows),
-        counts=counts,
-        total=sum(counts),
-    )
+    return Histogram(bin_width_ms=width, bin_count=len(rows), counts=counts)
 
 
 def render_ascii(hist: Histogram, max_width: int = 60) -> str:

@@ -22,12 +22,14 @@ one function of the draw, shared by :func:`sample_columns` and
 :meth:`LatencyModel.sample_at`. Both build the digest state of ``f"{seed}:"``
 once and hash each index on a copy, never on the state itself, so a delay is
 a pure function of seed, index and parameters.
+
+The module does no I/O: a clock here only reads or moves time, and waiting
+on a peer is the job of the transport that carried the frame.
 """
 from __future__ import annotations
 
 import hashlib
 import math
-import select
 import struct
 import sys
 import time
@@ -230,24 +232,10 @@ class LatencyModel:
 
 
 class WallClock:
-    """Real time; sleeps actually block."""
+    """Real time, read only; a socket transport does the waiting."""
 
     def now_ms(self) -> float:
         return time.monotonic() * 1000.0
-
-    def sleep_ms(self, duration_ms: float, limit_ms: float = math.inf, wake=None) -> bool:
-        """Wait up to ``limit_ms`` or until socket ``wake`` is readable; True if all elapsed.
-
-        A ``wake`` with ``has_pending()`` (a buffered transport) also counts as
-        readable while it holds bytes it has already read.
-        """
-        if duration_ms > 0:
-            seconds = min(duration_ms, limit_ms) / 1000.0
-            if wake is None:
-                time.sleep(seconds)
-            elif getattr(wake, "has_pending", bool)() or select.select([wake], [], [], seconds)[0]:
-                return False
-        return duration_ms <= limit_ms
 
 
 class VirtualClock:
@@ -259,7 +247,7 @@ class VirtualClock:
     def now_ms(self) -> float:
         return self._now
 
-    def sleep_ms(self, duration_ms: float, limit_ms: float = math.inf, wake=None) -> bool:
+    def sleep_ms(self, duration_ms: float, limit_ms: float = math.inf) -> bool:
         """Move to the end of the delay or to ``limit_ms``, whichever is first."""
         if duration_ms > 0:
             self._now += min(duration_ms, limit_ms)

@@ -30,7 +30,7 @@ from enum import IntEnum
 from typing import Optional, Protocol
 
 from .apdu import CommandApdu, MalformedApdu, ResponseApdu
-from .latency import LatencyModel, WallClock
+from .latency import LatencyModel, VirtualClock
 from .secure_element import (
     ChannelOrigin,
     PREPAID_AID,
@@ -162,6 +162,13 @@ class Transport(Protocol):
 
     def recv_frame(self, timeout_ms: Optional[float] = None) -> WireFrame: ...
 
+    def wait_ms(self, delay_ms: float, limit_ms: float = math.inf) -> bool:
+        """Wait out ``delay_ms``; False if ``limit_ms`` or the peer cut it short.
+
+        Anything the peer sends, or its hang-up, ends the wait. A zero delay
+        waits for nothing and takes no time.
+        """
+
     def close(self) -> None: ...
 
 
@@ -189,10 +196,6 @@ class SocketTransport:
             self._sock.sendall(frame.encode())
         except OSError as exc:
             raise TransportClosed(str(exc)) from exc
-
-    def has_pending(self) -> bool:
-        """Whether bytes of a next frame have already been read."""
-        return bool(self._buf)
 
     def recv_frame(self, timeout_ms: Optional[float] = None) -> WireFrame:
         if self._closed:
@@ -229,8 +232,12 @@ class SocketTransport:
                 return WireFrame.decode(chunk)  # the usual case: one chunk, one frame
             buf += chunk
 
-    def fileno(self) -> int:
-        return self._sock.fileno()
+    def wait_ms(self, delay_ms: float, limit_ms: float = math.inf) -> bool:
+        if delay_ms > 0:
+            seconds = min(delay_ms, limit_ms) / 1000.0
+            if self._buf or select.select([self._sock], [], [], seconds)[0]:
+                return False
+        return delay_ms <= limit_ms
 
     def close(self) -> None:
         if not self._closed:
@@ -264,14 +271,17 @@ class InProcessTransport:
     """Single-threaded transport that runs a handler on the caller's thread.
 
     Used where both endpoints live in one process: ``recv_frame`` hands the
-    oldest sent frame and the caller's deadline to the handler, and raises
-    :class:`ExchangeTimeout` if the deadline cut the reply off.
+    oldest sent frame and the caller's deadline to the handler, and the next
+    one while a frame gets no reply, so a pipelining client reads what it
+    would read over a socket. :class:`ExchangeTimeout` means the deadline
+    cut the last reply off. Waits move ``clock``, the run's virtual time.
     """
 
     def __init__(self, handler: SessionEndpoint):
         self._handler = handler
         self._sent: deque[WireFrame] = deque()
         self._closed = False
+        self.clock = VirtualClock()
 
     def send_frame(self, frame: WireFrame) -> None:
         if self._closed:
@@ -283,9 +293,15 @@ class InProcessTransport:
             raise TransportClosed("transport already closed")
         if not self._sent:
             raise RelayProtocolError("no frame pending")
-        for reply in self._handler.handle_frame(self._sent.popleft(), deadline_ms=timeout_ms):
-            return reply
+        while self._sent:
+            for reply in self._handler.handle_frame(self._sent.popleft(), self, timeout_ms):
+                return reply
         raise ExchangeTimeout("no frame within deadline")
+
+    def wait_ms(self, delay_ms: float, limit_ms: float = math.inf) -> bool:
+        if delay_ms > 0 and self._sent:
+            return False  # a frame sent early, as a socket would have it readable
+        return self.clock.sleep_ms(delay_ms, limit_ms)
 
     def close(self) -> None:
         if not self._closed:
@@ -339,18 +355,18 @@ class SessionEndpoint:
 
     One session lives per connection, and every end of it takes
     :meth:`end_session`; subclasses decide what opening and closing do. A
-    C-APDU waits ``model``'s next delay on ``clock`` up to the nearer of
-    ``hard_ceiling_ms`` and the caller's deadline, then takes
-    :func:`se_exchange` on ``origin``; a wait cut short ends the session
-    instead, with a TIMEOUT error if the ceiling cut it. A remote SE that
+    C-APDU waits ``model``'s next delay on the transport that carried it, up
+    to the nearer of ``hard_ceiling_ms`` and the caller's deadline, then
+    takes :func:`se_exchange` on ``origin``. A wait cut short, by the limit
+    or by an early frame or hang-up of the peer, ends the session instead,
+    with a TIMEOUT error if the ceiling was the limit. A remote SE that
     vanishes mid-session ends the session with ACCESS_DENIED.
     """
 
-    def __init__(self, se, origin=ChannelOrigin.INTERNAL, model=None, clock=None):
+    def __init__(self, se, origin=ChannelOrigin.INTERNAL, model=None):
         self.se = se
         self.origin = origin
         self.model = model
-        self.clock = clock if clock is not None else WallClock()
         self.hard_ceiling_ms: Optional[float] = None
         self.session_open = False
 
@@ -368,20 +384,24 @@ class SessionEndpoint:
             self.session_open = False
             self._close()
 
-    def _relay(self, capdu: bytes, deadline_ms: Optional[float], wake) -> list[WireFrame]:
+    def _relay(
+        self, capdu: bytes, transport: Transport, deadline_ms: Optional[float]
+    ) -> list[WireFrame]:
         delay_ms = self.model.sample_ms() if self.model is not None else 0.0
         limit = math.inf if deadline_ms is None else deadline_ms
         ceiling = self.hard_ceiling_ms
         if ceiling is not None and not limit < ceiling:  # the ceiling wins a tie
             limit = ceiling
-        if self.clock.sleep_ms(delay_ms, limit, wake):
+        if transport.wait_ms(delay_ms, limit):
             return [WireFrame(FrameKind.R_APDU, se_exchange(self.se, self.origin, capdu))]
         self.end_session()  # the command never reaches the SE
         if limit == ceiling:
             return [error_frame(ErrorReason.TIMEOUT, f"{delay_ms:.0f}ms")]
         return []
 
-    def handle_frame(self, frame: WireFrame, deadline_ms=None, wake=None) -> list[WireFrame]:
+    def handle_frame(
+        self, frame: WireFrame, transport: Transport, deadline_ms: Optional[float] = None
+    ) -> list[WireFrame]:
         if frame.kind is FrameKind.SESSION_OPEN:
             if self.session_open:
                 return [error_frame(ErrorReason.SESSION_STATE, "already open")]
@@ -401,17 +421,17 @@ class SessionEndpoint:
             if not self.session_open:
                 return [error_frame(ErrorReason.SESSION_STATE, "session not open")]
             try:
-                return self._relay(frame.payload, deadline_ms, wake)
+                return self._relay(frame.payload, transport, deadline_ms)
             except SessionFailed:
                 self.end_session()
                 return [error_frame(ErrorReason.ACCESS_DENIED, "SE unreachable")]
         return [error_frame(ErrorReason.SESSION_STATE, f"unexpected {frame.kind.name}")]
 
     def serve(self, transport: Transport) -> None:
-        """Drive one connection until the peer goes away, which also ends a wait."""
+        """Drive one connection until the peer goes away."""
         try:
             while True:
-                for reply in self.handle_frame(transport.recv_frame(), wake=transport):
+                for reply in self.handle_frame(transport.recv_frame(), transport):
                     transport.send_frame(reply)
         except (TransportClosed, RelayProtocolError):
             pass
@@ -450,13 +470,12 @@ class RelayApp(SecureElementHost):
         self,
         se,
         model: Optional[LatencyModel] = None,
-        clock=None,
         pin: Optional[str] = None,
         hard_ceiling_ms: Optional[float] = None,
     ):
         if hard_ceiling_ms is not None and not 0 < hard_ceiling_ms < math.inf:
             raise ValueError("hard_ceiling_ms must be positive and finite")
-        super().__init__(se, model=model, clock=clock)
+        super().__init__(se, model=model)
         self.pin = pin
         self.hard_ceiling_ms = hard_ceiling_ms
 

@@ -15,13 +15,7 @@ import threading
 from dataclasses import dataclass
 from typing import Optional
 
-from .latency import (
-    AccessPath,
-    LatencyModel,
-    LatencyParams,
-    VirtualClock,
-    WallClock,
-)
+from .latency import AccessPath, LatencyModel, LatencyParams, WallClock
 from .profile import CardProfile, CountermeasurePolicy
 from .relay import (
     ActivationRefused,
@@ -65,7 +59,6 @@ def run_pos_direct(
     """One terminal transaction through a plain session endpoint on ``origin``."""
     seed = resolve_seed(seed)
     cfg = TerminalConfig(timeout_ms=timeout_ms, seed=seed)
-    clock = VirtualClock()
     if se is None:
         se = SecureElement(profile=profile, policy=policy, atc=atc)
     if unlock and unlock_wallet(se, pin) is not None:
@@ -73,9 +66,9 @@ def run_pos_direct(
     if path is None:
         contactless = origin is ChannelOrigin.CONTACTLESS
         path = AccessPath.DIRECT_EXTERNAL if contactless else AccessPath.DIRECT_INTERNAL
-    endpoint = SessionEndpoint(se, origin, LatencyModel(path, seed, latency_params), clock)
-    emulator = CardEmulator(InProcessTransport(endpoint))
-    return _run_relayed_transaction(emulator, se, cfg, clock).report
+    endpoint = SessionEndpoint(se, origin, LatencyModel(path, seed, latency_params))
+    inproc = InProcessTransport(endpoint)
+    return _run_relayed_transaction(CardEmulator(inproc), se, cfg, inproc.clock).report
 
 
 @dataclass
@@ -109,26 +102,20 @@ def run_relay_attack(
     cfg = TerminalConfig(timeout_ms=timeout_ms, seed=seed)
     if se is None:
         se = SecureElement(profile=profile, policy=policy, atc=atc)
-    if transport == "inproc":
-        clock = VirtualClock()
-    elif transport == "tcp":
-        clock = WallClock()
-    else:
+    if transport not in ("inproc", "tcp"):
         raise ValueError(f"unknown transport {transport!r}")
     relay = RelayApp(
         se,
         model=LatencyModel(path, seed, latency_params),
-        clock=clock,
         pin=relay_pin,
         hard_ceiling_ms=hard_ceiling_ms,
     )
     if transport == "inproc":
-        return _run_relayed_transaction(
-            CardEmulator(InProcessTransport(relay)), se, cfg, clock
-        )
+        inproc = InProcessTransport(relay)
+        return _run_relayed_transaction(CardEmulator(inproc), se, cfg, inproc.clock)
     emulator, relay_thread = _serve_over_loopback(relay)
     try:
-        return _run_relayed_transaction(emulator, se, cfg, clock)
+        return _run_relayed_transaction(emulator, se, cfg, WallClock())
     finally:
         relay_thread.join(timeout=5.0)
         if relay_thread.is_alive():

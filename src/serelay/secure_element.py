@@ -103,10 +103,11 @@ def compute_cvc3(key: bytes, track_label: bytes, un: bytes, atc: int) -> bytes:
 
 
 # Every response except COMPUTE CC is a pure function of its status word or
-# of frozen applet configuration, so each is built once and the same frozen
-# ResponseApdu answers every later call. A new SecureElement is built for
-# every run, hence module-level memos; they are bounded because callers may
-# construct arbitrarily many configurations.
+# of an applet's configuration, so each is built once and the same frozen
+# ResponseApdu answers every later call: bare status words in a module-level
+# memo, applet replies when the applet is built. A new SecureElement is built
+# for every run, so the default applets are shared per profile. Both memos are
+# bounded because callers may construct arbitrarily many configurations.
 _RESPONSE_MEMO_SIZE = 32
 
 _bare_status = functools.lru_cache(maxsize=_RESPONSE_MEMO_SIZE)(ResponseApdu.from_sw)
@@ -115,67 +116,6 @@ _bare_status = functools.lru_cache(maxsize=_RESPONSE_MEMO_SIZE)(ResponseApdu.fro
 def status(sw: int, data: bytes = b"") -> ResponseApdu:
     """The response ``data || sw``; one shared object when there is no data."""
     return ResponseApdu.from_sw(sw, data) if data else _bare_status(sw)
-
-
-@functools.lru_cache(maxsize=_RESPONSE_MEMO_SIZE)
-def _ppse_fci(entries: tuple[tuple[bytes, int], ...]) -> ResponseApdu:
-    templates = [
-        TlvNode.constructed(
-            0x61,
-            [
-                TlvNode.primitive(0x4F, aid),
-                TlvNode.primitive(0x87, bytes((priority,))),
-            ],
-        )
-        for aid, priority in entries
-    ]
-    node = TlvNode.constructed(
-        0x6F,
-        [
-            TlvNode.primitive(0x84, PPSE_AID),
-            TlvNode.constructed(0xA5, [TlvNode.constructed(0xBF0C, templates)]),
-        ],
-    )
-    return status(SW_SUCCESS, node.encode())
-
-
-@functools.lru_cache(maxsize=_RESPONSE_MEMO_SIZE)
-def _payment_fci(aid: bytes, label: str) -> ResponseApdu:
-    node = TlvNode.constructed(
-        0x6F,
-        [
-            TlvNode.primitive(0x84, aid),
-            TlvNode.constructed(0xA5, [TlvNode.primitive(0x50, label.encode("ascii"))]),
-        ],
-    )
-    return status(SW_SUCCESS, node.encode())
-
-
-@functools.lru_cache(maxsize=_RESPONSE_MEMO_SIZE)
-def _gpo_body(aip: bytes, afl: bytes) -> ResponseApdu:
-    node = TlvNode.constructed(
-        0x77, [TlvNode.primitive(0x82, aip), TlvNode.primitive(0x94, afl)]
-    )
-    return status(SW_SUCCESS, node.encode())
-
-
-@functools.lru_cache(maxsize=_RESPONSE_MEMO_SIZE)
-def _mag_stripe_record(p: CardProfile) -> ResponseApdu:
-    node = TlvNode.constructed(
-        0x70,
-        [
-            TlvNode.primitive(0x9F6C, MAG_STRIPE_VERSION),
-            TlvNode.primitive(0x9F62, p.track1_cvc3_bitmap),
-            TlvNode.primitive(0x9F63, p.track1_unatc_bitmap),
-            TlvNode.primitive(0x56, p.track1()),
-            TlvNode.primitive(0x9F64, bytes((p.track1_atc_digits,))),
-            TlvNode.primitive(0x9F65, p.track2_cvc3_bitmap),
-            TlvNode.primitive(0x9F66, p.track2_unatc_bitmap),
-            TlvNode.primitive(0x9F6B, p.track2()),
-            TlvNode.primitive(0x9F67, bytes((p.track2_atc_digits,))),
-        ],
-    )
-    return status(SW_SUCCESS, node.encode())
 
 
 CARD_LIST_REPLY = status(
@@ -226,9 +166,27 @@ class PpseApplet(Applet):
             if entries is not None
             else ((PREPAID_AID, 1), (MASTERCARD_AID, 2))
         )
+        templates = [
+            TlvNode.constructed(
+                0x61,
+                [
+                    TlvNode.primitive(0x4F, aid),
+                    TlvNode.primitive(0x87, bytes((priority,))),
+                ],
+            )
+            for aid, priority in self.entries
+        ]
+        node = TlvNode.constructed(
+            0x6F,
+            [
+                TlvNode.primitive(0x84, PPSE_AID),
+                TlvNode.constructed(0xA5, [TlvNode.constructed(0xBF0C, templates)]),
+            ],
+        )
+        self._fci = status(SW_SUCCESS, node.encode())
 
     def select(self, se: "SecureElement", origin: ChannelOrigin) -> ResponseApdu:
-        return _ppse_fci(self.entries)
+        return self._fci
 
 
 class PaymentApplet(Applet):
@@ -247,11 +205,39 @@ class PaymentApplet(Applet):
         self.label = label
         self.aip = bytes(aip)
         self.afl = bytes(afl)
+        # every reply but COMPUTE CC's, built once
+        fci = TlvNode.constructed(
+            0x6F,
+            [
+                TlvNode.primitive(0x84, self.aid),
+                TlvNode.constructed(0xA5, [TlvNode.primitive(0x50, label.encode("ascii"))]),
+            ],
+        )
+        gpo = TlvNode.constructed(
+            0x77, [TlvNode.primitive(0x82, self.aip), TlvNode.primitive(0x94, self.afl)]
+        )
+        record = TlvNode.constructed(
+            0x70,
+            [
+                TlvNode.primitive(0x9F6C, MAG_STRIPE_VERSION),
+                TlvNode.primitive(0x9F62, profile.track1_cvc3_bitmap),
+                TlvNode.primitive(0x9F63, profile.track1_unatc_bitmap),
+                TlvNode.primitive(0x56, profile.track1()),
+                TlvNode.primitive(0x9F64, bytes((profile.track1_atc_digits,))),
+                TlvNode.primitive(0x9F65, profile.track2_cvc3_bitmap),
+                TlvNode.primitive(0x9F66, profile.track2_unatc_bitmap),
+                TlvNode.primitive(0x9F6B, profile.track2()),
+                TlvNode.primitive(0x9F67, bytes((profile.track2_atc_digits,))),
+            ],
+        )
+        self._fci = status(SW_SUCCESS, fci.encode())
+        self._gpo = status(SW_SUCCESS, gpo.encode())
+        self._record = status(SW_SUCCESS, record.encode())
 
     def select(self, se: "SecureElement", origin: ChannelOrigin) -> ResponseApdu:
         if se.wallet_locked:
             return status(SW_CONDITIONS_NOT_SATISFIED)
-        return _payment_fci(self.aid, self.label)
+        return self._fci
 
     def process(
         self, se: "SecureElement", origin: ChannelOrigin, cmd: CommandApdu
@@ -259,12 +245,12 @@ class PaymentApplet(Applet):
         if cmd.cla == 0x80 and cmd.ins == INS_GPO and (cmd.p1, cmd.p2) == (0, 0):
             if cmd.data != GPO_COMMAND.data:
                 return status(SW_WRONG_DATA)
-            return _gpo_body(self.aip, self.afl)
+            return self._gpo
         if cmd.cla == 0x00 and cmd.ins == INS_READ_RECORD:
             # single data file: SFI 1, record 1
             if (cmd.p1, cmd.p2) != (0x01, 0x0C):
                 return status(SW_RECORD_NOT_FOUND)
-            return _mag_stripe_record(self.profile)
+            return self._record
         if cmd.cla == 0x80 and cmd.ins == INS_COMPUTE_CC and (cmd.p1, cmd.p2) == (0x8E, 0x80):
             if len(cmd.data) != 4:
                 return status(SW_WRONG_LENGTH)

@@ -108,6 +108,17 @@ class TestHistogram:
             Histogram(counts=[0, 0, 0], bin_count=2)
 
 
+    def test_total_is_the_sum_of_given_counts(self):
+        hist = Histogram(bin_count=2, counts=[3, 1])
+        assert hist.total == 4
+        assert render_ascii(hist).splitlines() == [
+            "total=4 bins=2 width=50ms",
+            f"{'0-50':>14} ms |{'#' * 60} 3",
+            f"{'>=50':>14} ms |{'#' * 20} 1",
+        ]
+        with pytest.raises(TypeError):
+            Histogram(bin_count=2, counts=[3, 1], total=99)  # no total to disagree with
+
     @pytest.mark.parametrize("width", [float("nan"), float("inf")])
     def test_non_finite_bin_width_rejected(self, width):
         with pytest.raises(ValueError, match="bin_width_ms must be positive and finite"):

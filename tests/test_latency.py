@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import hashlib
 import itertools
@@ -26,6 +27,7 @@ from serelay.latency import (
     WallClock,
     sample_columns,
 )
+from serelay.relay import FrameKind, SocketTransport, WireFrame
 
 SAMPLES = 5000
 
@@ -92,6 +94,18 @@ class TestSeeding:
         assert all(10.0 <= v <= 12.0 for v in m.samples(100))
 
 
+@contextlib.contextmanager
+def socket_wait():
+    """A socket transport and the peer end of its socketpair, closed on exit."""
+    near, far = socket.socketpair()
+    transport = SocketTransport(near)
+    try:
+        yield transport, far
+    finally:
+        transport.close()
+        far.close()
+
+
 class TestClocks:
     def test_virtual_clock_advances_on_sleep(self):
         clock = VirtualClock()
@@ -105,12 +119,6 @@ class TestClocks:
         clock.sleep_ms(-5.0)
         assert clock.now_ms() == 10.0
 
-    def test_wall_clock_sleeps(self):
-        clock = WallClock()
-        before = clock.now_ms()
-        clock.sleep_ms(15.0)
-        assert clock.now_ms() - before >= 14.0
-
     def test_virtual_clock_stops_at_the_limit(self):
         clock = VirtualClock(start_ms=10.0)
         assert clock.sleep_ms(40.0, 40.0) is True  # a delay that fits its limit elapses
@@ -120,32 +128,53 @@ class TestClocks:
         assert clock.sleep_ms(0.0, 0.0) is True
         assert clock.now_ms() == 500.0
 
+    # The wall-clock wait is the socket transport's, on its own socket.
+    def test_wall_clock_sleeps(self):
+        with socket_wait() as (transport, _far):
+            clock = WallClock()
+            before = clock.now_ms()
+            assert transport.wait_ms(15.0) is True  # a quiet peer lets the delay elapse
+            assert clock.now_ms() - before >= 14.0
+
     def test_wall_clock_stops_at_the_limit(self):
-        clock = WallClock()
-        before = clock.now_ms()
-        assert clock.sleep_ms(5000.0, 20.0) is False
-        assert 19.0 <= clock.now_ms() - before < 1000.0
+        with socket_wait() as (transport, _far):
+            clock = WallClock()
+            before = clock.now_ms()
+            assert transport.wait_ms(5000.0, 20.0) is False
+            assert 19.0 <= clock.now_ms() - before < 1000.0
 
     def test_zero_delay_makes_no_syscall(self, monkeypatch):
         def refuse(*_args):
             raise AssertionError("a zero delay must not block")
 
-        monkeypatch.setattr(select, "select", refuse)
-        monkeypatch.setattr(time, "sleep", refuse)
-        assert WallClock().sleep_ms(0.0, wake=object()) is True
+        with socket_wait() as (transport, far):
+            far.sendall(WireFrame(FrameKind.SESSION_CLOSE).encode())  # even with bytes in
+            monkeypatch.setattr(select, "select", refuse)
+            monkeypatch.setattr(time, "sleep", refuse)
+            assert transport.wait_ms(0.0) is True
 
     def test_peer_close_wakes_the_wall_clock(self):
-        near, far = socket.socketpair()
-        closer = threading.Timer(0.05, far.close)
-        try:
-            clock = WallClock()
-            before = clock.now_ms()
-            closer.start()
-            assert clock.sleep_ms(5000.0, wake=near) is False
-            assert clock.now_ms() - before < 1000.0
-        finally:
-            closer.join()
-            near.close()
+        with socket_wait() as (transport, far):
+            closer = threading.Timer(0.05, far.close)
+            try:
+                clock = WallClock()
+                before = clock.now_ms()
+                closer.start()
+                assert transport.wait_ms(5000.0) is False
+                assert clock.now_ms() - before < 1000.0
+            finally:
+                closer.join()
+
+    def test_buffered_bytes_end_the_wall_clock_wait(self, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("bytes already read end the wait without a select")
+
+        with socket_wait() as (transport, far):
+            raw = WireFrame(FrameKind.C_APDU, b"\x00\xa4").encode()
+            far.sendall(raw + raw)
+            assert transport.recv_frame(timeout_ms=2000).payload == b"\x00\xa4"
+            monkeypatch.setattr(select, "select", refuse)
+            assert transport.wait_ms(5000.0) is False
 
 
 # The perf benchmark's zero-delay parameters and a heavy, wide-spread mix:

@@ -13,7 +13,7 @@ from genutil import SELECT_PPSE_C, SELECT_PPSE_R, SELECT_WALLET_C, UNLOCK_C
 from serelay.apdu import CommandApdu
 from serelay.cli import main
 from serelay.hexutil import format_hex, parse_hex
-from serelay.latency import AccessPath, LatencyModel, LatencyParams, VirtualClock
+from serelay.latency import AccessPath, LatencyModel, LatencyParams
 from serelay.profile import CountermeasurePolicy
 from serelay.relay import (
     ActivationRefused,
@@ -146,14 +146,16 @@ class TestRelaySession:
         assert not relay.session_open
 
     def test_apdu_requires_open_session(self):
-        _, relay, _ = make_pair()
-        replies = relay.handle_frame(WireFrame(FrameKind.C_APDU, b"\x00\x00\x00\x00"))
+        _, relay, emulator = make_pair()
+        replies = relay.handle_frame(
+            WireFrame(FrameKind.C_APDU, b"\x00\x00\x00\x00"), emulator.transport
+        )
         assert replies[0].kind is FrameKind.ERROR
 
     def test_double_open_errors(self):
         _, relay, emulator = make_pair()
         emulator.activate_field()
-        replies = relay.handle_frame(WireFrame(FrameKind.SESSION_OPEN))
+        replies = relay.handle_frame(WireFrame(FrameKind.SESSION_OPEN), emulator.transport)
         assert replies[0].kind is FrameKind.ERROR
 
     def test_exchange_without_activation(self):
@@ -243,28 +245,23 @@ def test_refused_session_locks_a_wallet_unlocked_before_the_run(route):
 
 class TestLatencyInjection:
     def test_injected_delay_reaches_clock(self):
-        clock = VirtualClock()
         model = LatencyModel(AccessPath.RELAY_WIFI, seed=5)
         expected = LatencyModel(AccessPath.RELAY_WIFI, seed=5).sample_at(0)
-        _, _, emulator = make_pair(model=model, clock=clock)
+        _, _, emulator = make_pair(model=model)
+        clock = emulator.transport.clock
         emulator.activate_field()
         before = clock.now_ms()
         emulator.exchange(parse_hex(SELECT_PPSE_C))
         assert clock.now_ms() - before == pytest.approx(expected)
 
     def test_payload_not_altered_by_injection(self):
-        clock = VirtualClock()
-        _, _, emulator = make_pair(
-            model=LatencyModel(AccessPath.RELAY_INTERNET, seed=5), clock=clock
-        )
+        _, _, emulator = make_pair(model=LatencyModel(AccessPath.RELAY_INTERNET, seed=5))
         emulator.activate_field()
         assert format_hex(emulator.exchange(parse_hex(SELECT_PPSE_C))) == SELECT_PPSE_R
 
     def test_hard_ceiling_surfaces_error(self):
-        clock = VirtualClock()
         _, _, emulator = make_pair(
             model=LatencyModel(AccessPath.RELAY_INTERNET, seed=5),
-            clock=clock,
             hard_ceiling_ms=1.0,  # every internet sample exceeds this
         )
         emulator.activate_field()
@@ -296,13 +293,13 @@ class TestLatencyInjection:
         ],
     )
     def test_wait_limit_and_cut_short_reply(self, ceiling_ms, deadline_ms, limit_ms, timeout_frame):
-        class CutShortClock:
+        class CutShortTransport:
             """Takes no time and ends every wait early, recording its limit."""
 
             def __init__(self):
                 self.limits = []
 
-            def sleep_ms(self, duration_ms, limit_ms, wake=None):
+            def wait_ms(self, delay_ms, limit_ms):
                 self.limits.append(limit_ms)
                 return False
 
@@ -310,22 +307,22 @@ class TestLatencyInjection:
             def sample_ms(self):
                 return 1000.0
 
-        clock = CutShortClock()
+        transport = CutShortTransport()
         se = SecureElement()
-        relay = RelayApp(se, model=FixedDelay(), clock=clock, hard_ceiling_ms=ceiling_ms)
-        relay.handle_frame(WireFrame(FrameKind.SESSION_OPEN))
+        relay = RelayApp(se, model=FixedDelay(), hard_ceiling_ms=ceiling_ms)
+        relay.handle_frame(WireFrame(FrameKind.SESSION_OPEN), transport)
         replies = relay.handle_frame(
-            WireFrame(FrameKind.C_APDU, parse_hex(SELECT_PPSE_C)), deadline_ms=deadline_ms
+            WireFrame(FrameKind.C_APDU, parse_hex(SELECT_PPSE_C)), transport, deadline_ms
         )
-        assert clock.limits == [limit_ms]
+        assert transport.limits == [limit_ms]
         assert replies == ([error_frame(ErrorReason.TIMEOUT, "1000ms")] if timeout_frame else [])
         assert not relay.session_open
         assert se.wallet_locked
         assert se.selected[ChannelOrigin.INTERNAL] is None
 
     def test_zero_delay_model(self):
-        clock = VirtualClock()
-        _, _, emulator = make_pair(model=None, clock=clock)
+        _, _, emulator = make_pair(model=None)
+        clock = emulator.transport.clock
         emulator.activate_field()
         emulator.exchange(parse_hex(SELECT_PPSE_C))
         assert clock.now_ms() == 0.0
@@ -341,6 +338,70 @@ class TestFrameOrdering:
             seen.append(emulator.exchange(cmd.to_bytes()))
         # one response per command, in order, no crosstalk
         assert len(seen) == 3
+
+
+class TestEarlyFrame:
+    """A C-APDU sent while the one before it waits out its delay, on both transports."""
+
+    @staticmethod
+    def replies_to_two_commands(relay, over: str, count: int) -> list[WireFrame]:
+        """Open a session, send two C-APDUs back to back, read ``count`` replies."""
+        command = WireFrame(FrameKind.C_APDU, parse_hex(SELECT_PPSE_C))
+        thread = None
+        if over == "inproc":
+            client = InProcessTransport(relay)
+        else:
+            near, far = socket.socketpair()
+            thread = threading.Thread(
+                target=relay.serve, args=(SocketTransport(near),), daemon=True
+            )
+            thread.start()
+            client = SocketTransport(far)
+        try:
+            client.send_frame(WireFrame(FrameKind.SESSION_OPEN))
+            assert client.recv_frame(timeout_ms=2000).kind is FrameKind.SESSION_OPEN
+            client.send_frame(command)
+            client.send_frame(command)
+            return [client.recv_frame(timeout_ms=2000) for _ in range(count)]
+        finally:
+            client.close()
+            if thread is not None:
+                thread.join(timeout=5)
+                assert not thread.is_alive()
+
+    @pytest.mark.parametrize("over", ["inproc", "socketpair"])
+    @pytest.mark.parametrize(
+        "ceiling_ms, expected",
+        [
+            (None, [error_frame(ErrorReason.SESSION_STATE, "session not open")]),
+            (
+                1000.0,
+                [
+                    error_frame(ErrorReason.TIMEOUT, "300ms"),
+                    error_frame(ErrorReason.SESSION_STATE, "session not open"),
+                ],
+            ),
+        ],
+        ids=["no_ceiling", "ceiling"],
+    )
+    def test_early_frame_ends_the_wait_and_the_session(self, over, ceiling_ms, expected):
+        # the second command ends the first one's 300 ms wait, so the first
+        # never reaches the SE (with a TIMEOUT error if the ceiling was the
+        # limit) and the second finds the session closed
+        params = LatencyParams(internal_low=300.0, internal_high=300.0)
+        se = SecureElement()
+        seen = []
+        process = se.process
+        se.process = lambda origin, cmd: seen.append(cmd.to_bytes()) or process(origin, cmd)
+        relay = RelayApp(
+            se,
+            model=LatencyModel(AccessPath.DIRECT_INTERNAL, 1, params),
+            hard_ceiling_ms=ceiling_ms,
+        )
+        assert self.replies_to_two_commands(relay, over, len(expected)) == expected
+        assert parse_hex(SELECT_PPSE_C) not in seen
+        assert se.wallet_locked
+        assert not relay.session_open
 
 
 class TestTcpTransport:

@@ -40,15 +40,17 @@ def test_histogram_csv_round_trips_at_any_width(seed):
             width = float(round(width, r.randrange(-3, 4)) or 1e-3)
         bin_count = r.randrange(2, 300)
         counts = [r.choice((0, 0, 1, r.randrange(10**6))) for _ in range(bin_count)]
-        hist = Histogram(
-            bin_width_ms=width, bin_count=bin_count, counts=counts, total=sum(counts)
-        )
-        assert histogram_from_csv(histogram_to_csv(hist)) == hist
+        hist = Histogram(bin_width_ms=width, bin_count=bin_count, counts=counts)
+        parsed = histogram_from_csv(histogram_to_csv(hist))
+        assert parsed == hist
+        assert parsed.total == sum(counts)
 
 
 def test_a_width_that_g_would_round_reads_back_exactly():
-    hist = Histogram(bin_width_ms=1234567.0, bin_count=4, counts=[1, 0, 2, 3], total=6)
-    assert histogram_from_csv(histogram_to_csv(hist)) == hist
+    hist = Histogram(bin_width_ms=1234567.0, bin_count=4, counts=[1, 0, 2, 3])
+    parsed = histogram_from_csv(histogram_to_csv(hist))
+    assert parsed == hist
+    assert parsed.total == 6
 
 
 @pytest.mark.parametrize(
@@ -98,7 +100,7 @@ def read_back(pieces: list[bytes], count: int) -> list[WireFrame]:
     sender = send_in_turns(near, far, pieces)
     try:
         frames = [transport.recv_frame(timeout_ms=2000) for _ in range(count)]
-        assert not transport.has_pending()
+        assert transport.wait_ms(1.0)  # no bytes past the last frame cut a wait short
     finally:
         sender.join(timeout=5)
         transport.close()

@@ -110,9 +110,9 @@ class TestParseTrack2:
             parse_track2(parse_hex("1234D171"))
 
 
-def direct_card(se, origin, model=None, clock=None):
+def direct_card(se, origin, model=None):
     """A card emulator with its field up, straight in front of ``se``'s channel."""
-    card = CardEmulator(InProcessTransport(SessionEndpoint(se, origin, model, clock)))
+    card = CardEmulator(InProcessTransport(SessionEndpoint(se, origin, model)))
     card.activate_field()
     return card
 
@@ -375,27 +375,23 @@ class TestTimeout:
     def run_with_ceiling(self, ceiling, seed=8):
         se = SecureElement()
         unlock_wallet(se)
-        clock = VirtualClock()
         card = direct_card(
             se,
             ChannelOrigin.INTERNAL,
             model=LatencyModel(AccessPath.RELAY_INTERNET, seed=seed),
-            clock=clock,
         )
         cfg = TerminalConfig(seed=seed, timeout_ms=ceiling)
-        return run_transaction(card, cfg, clock)
+        return run_transaction(card, cfg, card.transport.clock)
 
     def test_no_timeout_by_default(self):
         se = SecureElement()
         unlock_wallet(se)
-        clock = VirtualClock()
         card = direct_card(
             se,
             ChannelOrigin.INTERNAL,
             model=LatencyModel(AccessPath.RELAY_INTERNET, seed=8),
-            clock=clock,
         )
-        report = run_transaction(card, TerminalConfig(seed=8), VirtualClock())
+        report = run_transaction(card, TerminalConfig(seed=8), card.transport.clock)
         assert report.outcome == APPROVED
 
     def test_internet_path_times_out_at_500ms(self):
