@@ -7,7 +7,7 @@ Mag-Stripe transactions, latency models for the relevant access paths, and
 the countermeasures that break the attack.
 """
 from .apdu import CommandApdu, MalformedApdu, ResponseApdu, UnsupportedLength
-from .latency import AccessPath, LatencyModel, LatencyParams, VirtualClock, WallClock
+from .latency import AccessPath, LatencyModel, LatencyParams, VirtualClock
 from .profile import CardProfile, CountermeasurePolicy
 from .secure_element import ChannelOrigin, SecureElement
 from .terminal import TerminalConfig, TransactionReport, run_transaction
@@ -32,7 +32,6 @@ __all__ = [
     "TransactionReport",
     "UnsupportedLength",
     "VirtualClock",
-    "WallClock",
     "run_transaction",
     "__version__",
 ]

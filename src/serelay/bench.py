@@ -51,6 +51,8 @@ class Histogram:
             self.counts = [0] * self.bin_count
         if len(self.counts) != self.bin_count:
             raise ValueError("counts length must equal bin_count")
+        if min(self.counts) < 0:
+            raise ValueError(f"counts must be >= 0, got {min(self.counts)}")
 
     @property
     def total(self) -> int:

@@ -29,7 +29,7 @@ from .bench import (
     sample_benchmark,
 )
 from .hexutil import format_hex, parse_hex
-from .latency import AccessPath, LatencyModel, LatencyParams, WallClock
+from .latency import AccessPath, LatencyModel, LatencyParams
 from .profile import CardProfile, CountermeasurePolicy
 from .relay import (
     CardEmulator,
@@ -328,7 +328,6 @@ def cmd_emulator(args: argparse.Namespace) -> int:
         CardEmulator(SocketTransport(conn)),
         se=None,
         cfg=TerminalConfig(timeout_ms=args.timeout_ms, seed=resolve_seed(args.seed)),
-        clock=WallClock(),
     )
     return _finish_relay(result, args.out)
 

@@ -23,8 +23,9 @@ one function of the draw, shared by :func:`sample_columns` and
 once and hash each index on a copy, never on the state itself, so a delay is
 a pure function of seed, index and parameters.
 
-The module does no I/O: a clock here only reads or moves time, and waiting
-on a peer is the job of the transport that carried the frame.
+The module does no I/O: :class:`VirtualClock` only reads or moves modelled
+time. Waiting on a peer, and telling a run's time, is the job of the
+transport that carried the frame.
 """
 from __future__ import annotations
 
@@ -32,7 +33,6 @@ import hashlib
 import math
 import struct
 import sys
-import time
 from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import repeat
@@ -229,13 +229,6 @@ class LatencyModel:
         indices = range(self._index, self._index + count)
         self._index += len(indices)
         return sample_columns((self.path,), self.seed, indices, self.params)[self.path]
-
-
-class WallClock:
-    """Real time, read only; a socket transport does the waiting."""
-
-    def now_ms(self) -> float:
-        return time.monotonic() * 1000.0
 
 
 class VirtualClock:

@@ -169,6 +169,9 @@ class Transport(Protocol):
         waits for nothing and takes no time.
         """
 
+    def now_ms(self) -> float:
+        """The run's time: wall time on a socket, modelled time in-process."""
+
     def close(self) -> None: ...
 
 
@@ -239,6 +242,9 @@ class SocketTransport:
                 return False
         return delay_ms <= limit_ms
 
+    def now_ms(self) -> float:
+        return time.monotonic() * 1000.0
+
     def close(self) -> None:
         if not self._closed:
             self._closed = True
@@ -274,14 +280,15 @@ class InProcessTransport:
     oldest sent frame and the caller's deadline to the handler, and the next
     one while a frame gets no reply, so a pipelining client reads what it
     would read over a socket. :class:`ExchangeTimeout` means the deadline
-    cut the last reply off. Waits move ``clock``, the run's virtual time.
+    cut the last reply off. Waits move the run's virtual clock; ``now_ms`` reads it.
     """
 
     def __init__(self, handler: SessionEndpoint):
         self._handler = handler
         self._sent: deque[WireFrame] = deque()
         self._closed = False
-        self.clock = VirtualClock()
+        self._clock = VirtualClock()
+        self.now_ms = self._clock.now_ms  # bound once: a read adds no call level
 
     def send_frame(self, frame: WireFrame) -> None:
         if self._closed:
@@ -301,7 +308,7 @@ class InProcessTransport:
     def wait_ms(self, delay_ms: float, limit_ms: float = math.inf) -> bool:
         if delay_ms > 0 and self._sent:
             return False  # a frame sent early, as a socket would have it readable
-        return self.clock.sleep_ms(delay_ms, limit_ms)
+        return self._clock.sleep_ms(delay_ms, limit_ms)
 
     def close(self) -> None:
         if not self._closed:
@@ -499,6 +506,7 @@ class SessionClient:
 
     def __init__(self, transport: Transport):
         self.transport = transport
+        self.now_ms = transport.now_ms  # bound once: a read adds no call level
         self.session_open = False
 
     def _open(self) -> None:

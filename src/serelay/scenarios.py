@@ -15,7 +15,7 @@ import threading
 from dataclasses import dataclass
 from typing import Optional
 
-from .latency import AccessPath, LatencyModel, LatencyParams, WallClock
+from .latency import AccessPath, LatencyModel, LatencyParams
 from .profile import CardProfile, CountermeasurePolicy
 from .relay import (
     ActivationRefused,
@@ -67,8 +67,7 @@ def run_pos_direct(
         contactless = origin is ChannelOrigin.CONTACTLESS
         path = AccessPath.DIRECT_EXTERNAL if contactless else AccessPath.DIRECT_INTERNAL
     endpoint = SessionEndpoint(se, origin, LatencyModel(path, seed, latency_params))
-    inproc = InProcessTransport(endpoint)
-    return _run_relayed_transaction(CardEmulator(inproc), se, cfg, inproc.clock).report
+    return _run_relayed_transaction(CardEmulator(InProcessTransport(endpoint)), se, cfg).report
 
 
 @dataclass
@@ -111,11 +110,10 @@ def run_relay_attack(
         hard_ceiling_ms=hard_ceiling_ms,
     )
     if transport == "inproc":
-        inproc = InProcessTransport(relay)
-        return _run_relayed_transaction(CardEmulator(inproc), se, cfg, inproc.clock)
+        return _run_relayed_transaction(CardEmulator(InProcessTransport(relay)), se, cfg)
     emulator, relay_thread = _serve_over_loopback(relay)
     try:
-        return _run_relayed_transaction(emulator, se, cfg, WallClock())
+        return _run_relayed_transaction(emulator, se, cfg)
     finally:
         relay_thread.join(timeout=5.0)
         if relay_thread.is_alive():
@@ -123,10 +121,7 @@ def run_relay_attack(
 
 
 def _run_relayed_transaction(
-    emulator: CardEmulator,
-    se: Optional[SecureElement],
-    cfg: TerminalConfig,
-    clock,
+    emulator: CardEmulator, se: Optional[SecureElement], cfg: TerminalConfig
 ) -> RelayAttackResult:
     """Activate the field, run one transaction, close the emulator.
 
@@ -138,7 +133,7 @@ def _run_relayed_transaction(
             emulator.activate_field()
         except ActivationRefused as refused:
             return RelayAttackResult(report=None, session_error=refused.reason, se=se)
-        report = run_transaction(emulator, cfg, clock)
+        report = run_transaction(emulator, cfg)
         return RelayAttackResult(report=report, session_error=None, se=se)
     finally:
         emulator.close()

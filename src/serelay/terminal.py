@@ -5,8 +5,9 @@ system environment, select the highest-priority application it lists, get
 processing options, read the track data record(s) named by the file
 locator, then request a cryptographic checksum over a fresh unpredictable
 number. The terminal works against any card interface exposing
-``exchange(bytes) -> bytes``: a card emulator, whose session endpoint hands
-each command to the secure element straight or across a relay.
+``exchange(bytes) -> bytes`` and ``now_ms()``: a card emulator, whose session
+endpoint hands each command to the secure element straight or across a
+relay, and which tells the time of the transport that carries its frames.
 
 A reply without a status word, a non-9000 status word or a response the
 terminal cannot use declines the transaction with a reason naming the
@@ -27,7 +28,6 @@ from typing import Optional, Protocol
 from . import tlv
 from .apdu import MalformedApdu, ResponseApdu
 from .hexutil import format_hex
-from .latency import WallClock
 from .relay import CardRemoved, ExchangeTimeout
 from .secure_element import (
     GPO_COMMAND,
@@ -48,6 +48,8 @@ class MalformedTrack(Exception):
 
 class CardInterface(Protocol):
     def exchange(self, capdu: bytes, max_wait_ms: Optional[float] = None) -> bytes: ...
+
+    def now_ms(self) -> float: ...
 
 
 # transaction outcomes
@@ -195,33 +197,31 @@ class _Abort(Exception):
 
 
 def run_transaction(
-    card: CardInterface,
-    cfg: Optional[TerminalConfig] = None,
-    clock=None,
+    card: CardInterface, cfg: Optional[TerminalConfig] = None
 ) -> TransactionReport:
     """Drive one Mag-Stripe transaction and report everything observed."""
     cfg = cfg if cfg is not None else TerminalConfig()
-    clock = clock if clock is not None else WallClock()
+    now_ms = card.now_ms
     rng = random.Random(cfg.seed)
     un = cfg.fixed_un if cfg.fixed_un is not None else rng.randbytes(4)
 
     report = TransactionReport(seed=cfg.seed, un=un)
-    start = clock.now_ms()
+    start = now_ms()
 
     def step(name: str, raw: bytes) -> ResponseApdu:
-        elapsed = clock.now_ms() - start
+        # one instant is both the budget's elapsed time and the send time
+        sent_at = now_ms()
         budget: Optional[float] = None
         if cfg.timeout_ms is not None:
-            budget = cfg.timeout_ms - elapsed
+            budget = cfg.timeout_ms - (sent_at - start)
             if budget <= 0:
                 raise _Abort(TIMED_OUT)
-        sent_at = clock.now_ms()
         try:
             reply = card.exchange(raw, max_wait_ms=budget)
         except ExchangeTimeout:
-            report.steps.append(TransactionStep(name, raw, b"", clock.now_ms() - sent_at))
+            report.steps.append(TransactionStep(name, raw, b"", now_ms() - sent_at))
             raise _Abort(TIMED_OUT) from None
-        report.steps.append(TransactionStep(name, raw, reply, clock.now_ms() - sent_at))
+        report.steps.append(TransactionStep(name, raw, reply, now_ms() - sent_at))
         try:
             resp = _parse_response(reply)
         except MalformedApdu:
@@ -240,7 +240,7 @@ def run_transaction(
     except CardRemoved as exc:
         report.outcome = CARD_REMOVED
         report.reason = str(exc)
-    report.total_ms = clock.now_ms() - start
+    report.total_ms = now_ms() - start
     return report
 
 

@@ -119,6 +119,12 @@ class TestHistogram:
         with pytest.raises(TypeError):
             Histogram(bin_count=2, counts=[3, 1], total=99)  # no total to disagree with
 
+    @pytest.mark.parametrize("counts", [[3, -3], [3, -1]])
+    def test_negative_counts_rejected(self, counts):
+        # render_ascii would divide by a zero peak or draw a bar for a negative count
+        with pytest.raises(ValueError, match=f"counts must be >= 0, got {min(counts)}"):
+            Histogram(bin_count=2, counts=counts)
+
     @pytest.mark.parametrize("width", [float("nan"), float("inf")])
     def test_non_finite_bin_width_rejected(self, width):
         with pytest.raises(ValueError, match="bin_width_ms must be positive and finite"):

@@ -248,11 +248,11 @@ class TestLatencyInjection:
         model = LatencyModel(AccessPath.RELAY_WIFI, seed=5)
         expected = LatencyModel(AccessPath.RELAY_WIFI, seed=5).sample_at(0)
         _, _, emulator = make_pair(model=model)
-        clock = emulator.transport.clock
+        transport = emulator.transport
         emulator.activate_field()
-        before = clock.now_ms()
+        before = transport.now_ms()
         emulator.exchange(parse_hex(SELECT_PPSE_C))
-        assert clock.now_ms() - before == pytest.approx(expected)
+        assert transport.now_ms() - before == pytest.approx(expected)
 
     def test_payload_not_altered_by_injection(self):
         _, _, emulator = make_pair(model=LatencyModel(AccessPath.RELAY_INTERNET, seed=5))
@@ -322,10 +322,10 @@ class TestLatencyInjection:
 
     def test_zero_delay_model(self):
         _, _, emulator = make_pair(model=None)
-        clock = emulator.transport.clock
+        transport = emulator.transport
         emulator.activate_field()
         emulator.exchange(parse_hex(SELECT_PPSE_C))
-        assert clock.now_ms() == 0.0
+        assert transport.now_ms() == 0.0
 
 
 class TestFrameOrdering:

@@ -9,7 +9,7 @@ import serelay.relay
 import serelay.terminal
 from serelay.apdu import CommandApdu
 from serelay.hexutil import parse_hex
-from serelay.latency import AccessPath, LatencyModel, VirtualClock
+from serelay.latency import AccessPath, LatencyModel
 from serelay.profile import CardProfile, luhn_check_digit
 from serelay.relay import (
     CardEmulator,
@@ -127,7 +127,7 @@ class TestRunTransaction:
     def test_direct_internal_approved(self):
         profile = CardProfile()
         se, card = unlocked_card(profile=profile)
-        report = run_transaction(card, TerminalConfig(seed=3), VirtualClock())
+        report = run_transaction(card, TerminalConfig(seed=3))
         assert report.outcome == APPROVED
         assert report.pan == profile.pan
         assert report.expiry == "1711" and report.service_code == "101"
@@ -147,7 +147,7 @@ class TestRunTransaction:
         # replay the terminal's recorded C-APDUs against a second, identical
         # SE and compare responses byte for byte
         se, card = unlocked_card()
-        report = run_transaction(card, TerminalConfig(seed=9), VirtualClock())
+        report = run_transaction(card, TerminalConfig(seed=9))
         oracle_se, _ = unlocked_card()
         oracle_se.open_session(ChannelOrigin.INTERNAL)
         for step in report.steps:
@@ -159,7 +159,7 @@ class TestRunTransaction:
     def test_cvc3_fields_match_stand_in_digest(self):
         profile = CardProfile()
         _, card = unlocked_card(profile=profile)
-        report = run_transaction(card, TerminalConfig(seed=4), VirtualClock())
+        report = run_transaction(card, TerminalConfig(seed=4))
         atc = report.atc.to_bytes(2, "big")
         key = profile.cvc3_key
         assert report.cvc3_track1 == hmac.new(
@@ -172,16 +172,16 @@ class TestRunTransaction:
     def test_locked_wallet_declines_at_select_aid(self):
         se = SecureElement()
         card = direct_card(se, ChannelOrigin.CONTACTLESS)
-        report = run_transaction(card, TerminalConfig(seed=1), VirtualClock())
+        report = run_transaction(card, TerminalConfig(seed=1))
         assert report.outcome == DECLINED
         assert report.reason == "6985"
         assert report.steps[-1].name == "select_aid"
 
     def test_un_recorded_and_fresh_per_seed(self):
         _, card = unlocked_card()
-        report_a = run_transaction(card, TerminalConfig(seed=100), VirtualClock())
+        report_a = run_transaction(card, TerminalConfig(seed=100))
         _, card = unlocked_card()
-        report_b = run_transaction(card, TerminalConfig(seed=101), VirtualClock())
+        report_b = run_transaction(card, TerminalConfig(seed=101))
         assert report_a.un != report_b.un
         sent_un = report_a.steps[-1].capdu[5:9]
         assert sent_un == report_a.un
@@ -189,7 +189,7 @@ class TestRunTransaction:
     def test_fixed_un_is_used(self):
         _, card = unlocked_card()
         cfg = TerminalConfig(seed=5, fixed_un=parse_hex("00000080"))
-        report = run_transaction(card, cfg, VirtualClock())
+        report = run_transaction(card, cfg)
         assert report.un == parse_hex("00000080")
         assert report.steps[-1].capdu == parse_hex("802A8E80040000008000")
 
@@ -204,7 +204,7 @@ class TestRunTransaction:
         )
         se = SecureElement(profile=profile, applets=applets)
         _, card = unlocked_card(se=se)
-        report = run_transaction(card, TerminalConfig(seed=2), VirtualClock())
+        report = run_transaction(card, TerminalConfig(seed=2))
         assert report.outcome == DECLINED
         assert report.reason == "unsupported_profile"
 
@@ -213,7 +213,10 @@ class TestRunTransaction:
             def exchange(self, capdu, max_wait_ms=None):
                 raise CardRemoved("field lost")
 
-        report = run_transaction(DeadCard(), TerminalConfig(seed=2), VirtualClock())
+            def now_ms(self):
+                return 0.0
+
+        report = run_transaction(DeadCard(), TerminalConfig(seed=2))
         assert report.outcome == CARD_REMOVED
 
 
@@ -234,7 +237,7 @@ def step_name(capdu: bytes) -> str:
 def approved_replies() -> dict[str, bytes]:
     """The R-APDU of each step of an approved run on a default secure element."""
     _, card = unlocked_card()
-    report = run_transaction(card, TerminalConfig(seed=11), VirtualClock())
+    report = run_transaction(card, TerminalConfig(seed=11))
     assert report.outcome == APPROVED
     return {s.name: s.rapdu for s in report.steps}
 
@@ -254,10 +257,13 @@ class ScriptedCard:
     def exchange(self, capdu, max_wait_ms=None):
         return self.replies[step_name(capdu)]
 
+    def now_ms(self):
+        return 0.0
+
 
 def run_scripted(**replies: bytes) -> TransactionReport:
     card = ScriptedCard(**replies)
-    return run_transaction(card, TerminalConfig(seed=2), VirtualClock())
+    return run_transaction(card, TerminalConfig(seed=2))
 
 
 prim, cons = TlvNode.primitive, TlvNode.constructed
@@ -353,7 +359,7 @@ class TestDeclineReasons:
             for se, profile in cards:
                 card = direct_card(se, ChannelOrigin.INTERNAL)
                 cfg = TerminalConfig(seed=seed)
-                report = run_transaction(card, cfg, VirtualClock())
+                report = run_transaction(card, cfg)
                 if profile is None:
                     assert report.outcome == DECLINED
                     assert report.reason == "unsupported_profile"
@@ -381,7 +387,7 @@ class TestTimeout:
             model=LatencyModel(AccessPath.RELAY_INTERNET, seed=seed),
         )
         cfg = TerminalConfig(seed=seed, timeout_ms=ceiling)
-        return run_transaction(card, cfg, card.transport.clock)
+        return run_transaction(card, cfg)
 
     def test_no_timeout_by_default(self):
         se = SecureElement()
@@ -391,7 +397,7 @@ class TestTimeout:
             ChannelOrigin.INTERNAL,
             model=LatencyModel(AccessPath.RELAY_INTERNET, seed=8),
         )
-        report = run_transaction(card, TerminalConfig(seed=8), card.transport.clock)
+        report = run_transaction(card, TerminalConfig(seed=8))
         assert report.outcome == APPROVED
 
     def test_internet_path_times_out_at_500ms(self):
@@ -417,6 +423,20 @@ class TestTimeout:
 
     def test_total_time_reflects_injected_delays(self):
         report = self.run_with_ceiling(500.0)
+        assert report.total_ms == 500.0
+
+    def test_in_process_report_is_in_modelled_time(self):
+        # the terminal reads the time of the transport that carries its frames
+        se = SecureElement()
+        unlock_wallet(se)
+        endpoint = SessionEndpoint(
+            se, ChannelOrigin.INTERNAL, LatencyModel(AccessPath.RELAY_INTERNET, 1)
+        )
+        card = CardEmulator(InProcessTransport(endpoint))
+        card.activate_field()
+        report = run_transaction(card, TerminalConfig(seed=1, timeout_ms=500))
+        direct = run_pos_direct(seed=1, path=AccessPath.RELAY_INTERNET, timeout_ms=500)
+        assert report.to_dict() == direct.to_dict()
         assert report.total_ms == 500.0
 
 
@@ -470,7 +490,7 @@ class TestShortReply:
         thread.start()
         try:
             emulator.activate_field()
-            report = run_transaction(emulator, TerminalConfig(seed=1), VirtualClock())
+            report = run_transaction(emulator, TerminalConfig(seed=1))
             emulator.deactivate_field()
             thread.join(timeout=5)
         finally:
@@ -483,6 +503,8 @@ class TestShortReply:
         assert [(s.name, s.rapdu, s.sw) for s in report.steps] == [
             ("select_ppse", b"\x90", None)
         ]
+        # over a socket the step takes wall time
+        assert report.steps[0].elapsed_ms > 0
 
 
 class TestMemos:
@@ -511,7 +533,7 @@ class TestMemos:
 class TestReportSerialization:
     def test_json_round_trippable_dict(self):
         _, card = unlocked_card()
-        report = run_transaction(card, TerminalConfig(seed=6), VirtualClock())
+        report = run_transaction(card, TerminalConfig(seed=6))
         data = report.to_dict()
         assert data["outcome"] == APPROVED
         assert data["steps"][0]["name"] == "select_ppse"
@@ -522,7 +544,7 @@ class TestReportSerialization:
 
     def test_trace_contains_steps_and_outcome(self):
         _, card = unlocked_card()
-        report = run_transaction(card, TerminalConfig(seed=6), VirtualClock())
+        report = run_transaction(card, TerminalConfig(seed=6))
         trace = report.render_trace()
         assert "[select_ppse]" in trace
         assert "outcome: approved" in trace
