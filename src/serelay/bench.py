@@ -1,11 +1,11 @@
 """Round-trip delay benchmark harness with histogram binning and CSV export.
 
-Checks once that each chosen access path answers a SELECT of the card
-manager, on one secure element shared by every path, then draws the paths'
-modelled round-trip delays and bins them. The draw is one
+One :func:`sample_benchmark` call is one run: its paths share one seed,
+repetition count, set of delay params and bin layout. It checks once that
+each path answers a SELECT of the card manager, on one secure element shared
+by every path, then draws the delays in one
 :func:`~serelay.latency.sample_columns` call: each index is hashed once, every
-path's column comes from those draws, and each spec bins its own copy of its
-path's column.
+path's column comes from those draws, and each path bins its own copy.
 The default layout is 160 bins of 50 ms where the last bin collects
 everything at or above 7950 ms, ``inf`` included; zoomed layouts are a matter
 of passing a different width/count. The CSV row labels of a layout are
@@ -26,15 +26,12 @@ from .latency import DEFAULT_PARAMS, AccessPath, LatencyParams, sample_columns
 from .secure_element import ChannelOrigin, ISD_PREFIX_AID, SecureElement, select_command
 
 
+# columns of the longest bar in render_ascii
+BAR_WIDTH = 60
+
+
 class BenchmarkError(Exception):
     """The benchmark path did not deliver usable responses."""
-
-
-def _check_layout(bin_width_ms: float, bin_count: int) -> None:
-    if not 0 < bin_width_ms < math.inf:
-        raise ValueError("bin_width_ms must be positive and finite")
-    if bin_count < 2:
-        raise ValueError("bin_count must be at least 2")
 
 
 @dataclass
@@ -46,7 +43,10 @@ class Histogram:
     counts: list[int] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        _check_layout(self.bin_width_ms, self.bin_count)
+        if not 0 < self.bin_width_ms < math.inf:
+            raise ValueError("bin_width_ms must be positive and finite")
+        if self.bin_count < 2:
+            raise ValueError("bin_count must be at least 2")
         if not self.counts:
             self.counts = [0] * self.bin_count
         if len(self.counts) != self.bin_count:
@@ -149,7 +149,7 @@ def histogram_from_csv(text: str) -> Histogram:
     return Histogram(bin_width_ms=width, bin_count=len(rows), counts=counts)
 
 
-def render_ascii(hist: Histogram, max_width: int = 60) -> str:
+def render_ascii(hist: Histogram) -> str:
     """Bar chart of the occupied bins, for eyeballing a run."""
     peak = max(hist.counts) if hist.total else 0
     lines = [f"total={hist.total} bins={hist.bin_count} width={hist.bin_width_ms:g}ms"]
@@ -162,61 +162,41 @@ def render_ascii(hist: Histogram, max_width: int = 60) -> str:
             if i == hist.bin_count - 1
             else f"{start:g}-{start + hist.bin_width_ms:g}"
         )
-        bar = "#" * max(1, round(count / peak * max_width))
+        bar = "#" * max(1, round(count / peak * BAR_WIDTH))
         lines.append(f"{label:>14} ms |{bar} {count}")
     return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class BenchmarkSpec:
-    """One benchmark run: path, repetitions, seed, layout and delay params."""
-
-    path: AccessPath = AccessPath.DIRECT_EXTERNAL
-    repetitions: int = 5000
-    seed: int = 0
-    bin_width_ms: float = 50.0
-    bin_count: int = 160
-    params: Optional[LatencyParams] = None
-
-    def __post_init__(self) -> None:
-        if self.repetitions <= 0:
-            raise ValueError("repetitions must be positive")
-        _check_layout(self.bin_width_ms, self.bin_count)
-
-
-def run_benchmark(spec: BenchmarkSpec, se: Optional[SecureElement] = None) -> Histogram:
-    """Bin ``spec.repetitions`` modelled round-trip delays of ``spec.path``."""
-    return sample_benchmark([spec], se)[0][0]
-
-
 def sample_benchmark(
-    specs: Sequence[BenchmarkSpec], se: Optional[SecureElement] = None
+    paths: Sequence[AccessPath],
+    repetitions: int,
+    seed: int = 0,
+    params: Optional[LatencyParams] = None,
+    bin_width_ms: float = 50.0,
+    bin_count: int = 160,
+    se: Optional[SecureElement] = None,
 ) -> list[tuple[Histogram, list[float]]]:
-    """Like :func:`run_benchmark` per spec, also returning the delays in order.
+    """Bin ``repetitions`` modelled round-trip delays of each of ``paths``.
 
-    Each spec's path first gets one availability exchange on ``se`` (default:
+    The histograms are built first, so a bad layout raises before anything
+    else. Each path then gets one availability exchange on ``se`` (default:
     one fresh SE): open its channel, SELECT the card manager, close. That
-    exchange leaves nothing behind, so one SE serves every spec. A failure
+    exchange leaves nothing behind, so one SE serves every path. A failure
     raises :class:`BenchmarkError` before any delay is drawn.
 
-    The specs must share seed, repetitions and params. The result holds one
-    ``(histogram, delays)`` pair per spec, each equal to what the spec gives
-    alone; specs on one path get equal but separate lists. Every path's
-    column comes from one :func:`sample_columns` call, which hashes each
-    repetition's index once.
+    The result holds one ``(histogram, delays)`` pair per path, in order,
+    each equal to what the path gives alone; a path given twice gets equal
+    but separate lists. Every path's column comes from one
+    :func:`sample_columns` call, which hashes each repetition's index once.
     """
-    if len({(s.seed, s.repetitions, s.params) for s in specs}) != 1:
-        raise ValueError("specs must share seed, repetitions and params")
+    hists = [Histogram(bin_width_ms, bin_count) for _ in paths]
+    if repetitions <= 0:
+        raise ValueError("repetitions must be positive")
     if se is None:
         se = SecureElement()
-    first = specs[0]
-    params = first.params if first.params is not None else DEFAULT_PARAMS
-    for s in specs:
-        origin = (
-            ChannelOrigin.CONTACTLESS
-            if s.path is AccessPath.DIRECT_EXTERNAL
-            else ChannelOrigin.INTERNAL
-        )
+    for path in paths:
+        contactless = path is AccessPath.DIRECT_EXTERNAL
+        origin = ChannelOrigin.CONTACTLESS if contactless else ChannelOrigin.INTERNAL
         se.open_session(origin)
         try:
             resp = se.process(origin, select_command(ISD_PREFIX_AID))
@@ -224,15 +204,15 @@ def sample_benchmark(
             se.close_session(origin)
         if not resp.is_success:
             raise BenchmarkError(
-                f"path {s.path.value} unavailable: workload answered {resp.sw:04X}"
+                f"path {path.value} unavailable: workload answered {resp.sw:04X}"
             )
-    paths = [s.path for s in specs]
-    columns = sample_columns(paths, first.seed, range(first.repetitions), params)
+    if params is None:
+        params = DEFAULT_PARAMS
+    columns = sample_columns(paths, seed, range(repetitions), params)
     results = []
-    for s in specs:
-        hist = Histogram(bin_width_ms=s.bin_width_ms, bin_count=s.bin_count)
+    for path, hist in zip(paths, hists):
         add = hist.add
-        modelled = columns[s.path].copy()  # the caller may sort each spec's list
+        modelled = columns[path].copy()  # the caller may sort each path's list
         for delay in modelled:
             add(delay)
         results.append((hist, modelled))

@@ -22,12 +22,7 @@ from typing import Optional
 
 from . import tlv
 from .apdu import CommandApdu, MalformedApdu, ResponseApdu
-from .bench import (
-    BenchmarkSpec,
-    histogram_to_csv,
-    render_ascii,
-    sample_benchmark,
-)
+from .bench import histogram_to_csv, render_ascii, sample_benchmark
 from .hexutil import format_hex, parse_hex
 from .latency import AccessPath, LatencyModel, LatencyParams
 from .profile import CardProfile, CountermeasurePolicy
@@ -182,25 +177,13 @@ def cmd_relay_attack(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    paths = (
-        list(AccessPath) if args.path == "all" else [AccessPath(args.path)]
-    )
+    paths = list(AccessPath) if args.path == "all" else [AccessPath(args.path)]
     params = _load(LatencyParams, args.latency_params)
-    specs = [
-        BenchmarkSpec(
-            path=path,
-            repetitions=args.reps,
-            seed=args.seed,
-            bin_width_ms=args.bin_width,
-            bin_count=args.bins,
-            params=params,
-        )
-        for path in paths
-    ]
+    results = sample_benchmark(paths, args.reps, args.seed, params, args.bin_width, args.bins)
     out_dir = Path(args.out) if args.out else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
-    for path, (hist, samples) in zip(paths, sample_benchmark(specs)):
+    for path, (hist, samples) in zip(paths, results):
         samples.sort()
         median = samples[len(samples) // 2]
         summary = (

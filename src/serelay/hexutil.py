@@ -18,7 +18,5 @@ def parse_hex(text: str) -> bytes:
 
 
 def format_hex(data: bytes, sep: str = "") -> str:
-    """Format bytes as an uppercase hex string, optionally byte-separated."""
-    if sep:
-        return sep.join(f"{b:02X}" for b in data)
-    return data.hex().upper()
+    """Format bytes as an uppercase hex string, ``sep`` (one character) between bytes."""
+    return (data.hex(sep) if sep else data.hex()).upper()

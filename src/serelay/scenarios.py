@@ -43,6 +43,20 @@ def resolve_seed(seed: Optional[int]) -> int:
     return random.SystemRandom().getrandbits(32)
 
 
+def _card(
+    se: Optional[SecureElement],
+    profile: Optional[CardProfile],
+    policy: Optional[CountermeasurePolicy],
+    atc: int,
+) -> SecureElement:
+    """``se`` itself, or a new SE built from the card options; never both."""
+    if se is None:
+        return SecureElement(profile=profile, policy=policy, atc=atc)
+    if profile is not None or policy is not None or atc:
+        raise ValueError("pass se or profile/policy/atc, not both")
+    return se
+
+
 def run_pos_direct(
     origin: ChannelOrigin = ChannelOrigin.INTERNAL,
     profile: Optional[CardProfile] = None,
@@ -59,8 +73,7 @@ def run_pos_direct(
     """One terminal transaction through a plain session endpoint on ``origin``."""
     seed = resolve_seed(seed)
     cfg = TerminalConfig(timeout_ms=timeout_ms, seed=seed)
-    if se is None:
-        se = SecureElement(profile=profile, policy=policy, atc=atc)
+    se = _card(se, profile, policy, atc)
     if unlock and unlock_wallet(se, pin) is not None:
         logger.info("local unlock failed; transaction will run against a locked wallet")
     if path is None:
@@ -99,8 +112,7 @@ def run_relay_attack(
     """Full relay attack: terminal -> emulator -> relay app -> secure element."""
     seed = resolve_seed(seed)
     cfg = TerminalConfig(timeout_ms=timeout_ms, seed=seed)
-    if se is None:
-        se = SecureElement(profile=profile, policy=policy, atc=atc)
+    se = _card(se, profile, policy, atc)
     if transport not in ("inproc", "tcp"):
         raise ValueError(f"unknown transport {transport!r}")
     relay = RelayApp(

@@ -36,7 +36,7 @@ from test_secure_element import (
 
 from serelay import tlv
 from serelay.apdu import CommandApdu, MalformedApdu, ResponseApdu
-from serelay.bench import BenchmarkSpec, Histogram, histogram_from_csv, histogram_to_csv, run_benchmark
+from serelay.bench import Histogram, histogram_from_csv, histogram_to_csv, sample_benchmark
 from serelay.hexutil import format_hex, parse_hex
 from serelay.latency import AccessPath, LatencyModel
 from serelay.profile import CardProfile, CountermeasurePolicy
@@ -208,10 +208,7 @@ def test_criterion_4_latency_model_properties():
 def test_criterion_5_histogram_methodology():
     with _Budget(5, 10.0, "default layout, conservation and CSV round trip"):
         reps = 5000
-        spec = BenchmarkSpec(
-            path=AccessPath.DIRECT_EXTERNAL, repetitions=reps, seed=5
-        )
-        hist = run_benchmark(spec)
+        [(hist, _delays)] = sample_benchmark([AccessPath.DIRECT_EXTERNAL], reps, seed=5)
         assert hist.bin_count == 160
         assert hist.bin_width_ms == 50.0
         assert hist.overflow_threshold_ms == 7950.0

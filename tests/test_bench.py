@@ -1,23 +1,19 @@
 import math
 import random
-from dataclasses import replace
-
 import pytest
 
 from serelay import bench
 from serelay.apdu import CommandApdu
 from serelay.bench import (
     BenchmarkError,
-    BenchmarkSpec,
     Histogram,
     histogram_from_csv,
     histogram_to_csv,
     render_ascii,
-    run_benchmark,
     sample_benchmark,
 )
 from serelay.cli import main
-from serelay.latency import AccessPath, LatencyParams
+from serelay.latency import AccessPath
 from serelay.profile import CardProfile
 from serelay.secure_element import (
     ISD_PREFIX_AID,
@@ -186,44 +182,34 @@ class TestCsv:
 
 class TestRunBenchmark:
     def test_conservation(self):
-        spec = BenchmarkSpec(path=AccessPath.DIRECT_EXTERNAL, repetitions=500, seed=1)
-        hist = run_benchmark(spec)
+        [(hist, _delays)] = sample_benchmark([AccessPath.DIRECT_EXTERNAL], 500, seed=1)
         assert hist.total == 500
 
     def test_external_mass_in_low_bins(self):
         # zoom layout: 1 ms bins over 0-50 ms
-        spec = BenchmarkSpec(
-            path=AccessPath.DIRECT_EXTERNAL,
-            repetitions=1000,
-            seed=1,
-            bin_width_ms=1.0,
-            bin_count=51,
+        [(hist, _delays)] = sample_benchmark(
+            [AccessPath.DIRECT_EXTERNAL], 1000, seed=1, bin_width_ms=1.0, bin_count=51
         )
-        hist = run_benchmark(spec)
         assert sum(hist.counts[20:45]) > 990
         assert hist.counts[-1] == 0
 
     def test_internal_mass_within_50_80(self):
-        spec = BenchmarkSpec(
-            path=AccessPath.DIRECT_INTERNAL,
-            repetitions=1000,
-            seed=2,
-            bin_width_ms=5.0,
-            bin_count=31,
+        [(hist, _delays)] = sample_benchmark(
+            [AccessPath.DIRECT_INTERNAL], 1000, seed=2, bin_width_ms=5.0, bin_count=31
         )
-        hist = run_benchmark(spec)
         # bins 10..16 cover 50-85 ms (the 80.0 boundary lands in bin 16)
         assert sum(hist.counts[10:17]) == 1000
 
     def test_internet_majority_above_one_second(self):
-        spec = BenchmarkSpec(path=AccessPath.RELAY_INTERNET, repetitions=1000, seed=3)
-        hist = run_benchmark(spec)
+        [(hist, _delays)] = sample_benchmark([AccessPath.RELAY_INTERNET], 1000, seed=3)
         above_1s = sum(hist.counts[20:])
         assert above_1s >= 500
 
     def test_seeded_runs_identical(self):
-        spec = BenchmarkSpec(path=AccessPath.RELAY_WIFI, repetitions=300, seed=9)
-        assert run_benchmark(spec).counts == run_benchmark(spec).counts
+        def counts():
+            return sample_benchmark([AccessPath.RELAY_WIFI], 300, seed=9)[0][0].counts
+
+        assert counts() == counts()
 
     def test_workload_command_shape(self):
         # SELECT card manager by its 7-byte name: 13-byte command, 105-byte response
@@ -244,15 +230,14 @@ class TestRunBenchmark:
             profile=profile,
             applets=(PpseApplet(), PaymentApplet(profile), WalletControlApplet()),
         )
-        spec = BenchmarkSpec(path=AccessPath.DIRECT_EXTERNAL, repetitions=10, seed=0)
         with pytest.raises(BenchmarkError):
-            run_benchmark(spec, se=se)
+            sample_benchmark([AccessPath.DIRECT_EXTERNAL], 10, seed=0, se=se)
 
     @pytest.mark.parametrize("repetitions", [1, 500])
     def test_one_exchange_per_run(self, repetitions):
         se = CountingSecureElement()
-        spec = BenchmarkSpec(path=AccessPath.RELAY_WIFI, repetitions=repetitions, seed=0)
-        assert run_benchmark(spec, se=se).total == repetitions
+        [(hist, _delays)] = sample_benchmark([AccessPath.RELAY_WIFI], repetitions, seed=0, se=se)
+        assert hist.total == repetitions
         assert se.calls == 1
 
     def test_unavailable_path_aborts_before_any_draw(self, monkeypatch):
@@ -265,13 +250,12 @@ class TestRunBenchmark:
             profile=profile,
             applets=(PpseApplet(), PaymentApplet(profile), WalletControlApplet()),
         )
-        spec = BenchmarkSpec(path=AccessPath.DIRECT_INTERNAL, repetitions=10, seed=0)
         with pytest.raises(BenchmarkError, match="path internal unavailable"):
-            run_benchmark(spec, se=se)
+            sample_benchmark([AccessPath.DIRECT_INTERNAL], 10, seed=0, se=se)
 
     def test_bad_spec_rejected(self):
-        with pytest.raises(ValueError):
-            BenchmarkSpec(repetitions=0)
+        with pytest.raises(ValueError, match="repetitions must be positive"):
+            sample_benchmark([AccessPath.DIRECT_EXTERNAL], 0)
 
     @pytest.mark.parametrize(
         "layout, message",
@@ -283,9 +267,15 @@ class TestRunBenchmark:
             ({"bin_width_ms": math.nan}, "bin_width_ms must be positive and finite"),
         ],
     )
-    def test_bad_layout_rejected_by_the_spec(self, layout, message):
+    def test_bad_layout_rejected_by_the_spec(self, layout, message, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("a delay was drawn")
+
+        monkeypatch.setattr(bench, "sample_columns", no_draw)
+        se = CountingSecureElement()
         with pytest.raises(ValueError, match=message):
-            BenchmarkSpec(**layout)
+            sample_benchmark(list(AccessPath), 0, se=se, **layout)  # the layout raises first
+        assert se.calls == 0
 
     def test_bad_layout_fails_before_any_draw(self, monkeypatch, capsys, tmp_path):
         def no_draw(*args):
@@ -302,51 +292,36 @@ class TestRunBenchmark:
 
 class TestSampleIndexMajor:
     def test_each_spec_equals_its_own_run(self):
-        # paths with their own layouts, one twice, sampled together
-        specs = [
-            BenchmarkSpec(path=path, repetitions=300, seed=5, bin_width_ms=width)
-            for path, width in zip(
-                [*AccessPath, AccessPath.RELAY_INTERNET], [1.0, 5.0, 20.0, 50.0, 10.0]
-            )
-        ]
-        together = sample_benchmark(specs)
-        assert len(together) == len(specs)
-        for spec, (hist, delays) in zip(specs, together):
-            alone_hist, alone_delays = sample_benchmark([spec])[0]
+        # every path, one twice, sampled together
+        paths = [*AccessPath, AccessPath.RELAY_INTERNET]
+        together = sample_benchmark(paths, 300, seed=5, bin_width_ms=20.0)
+        assert len(together) == len(paths)
+        for path, (hist, delays) in zip(paths, together):
+            alone_hist, alone_delays = sample_benchmark([path], 300, seed=5, bin_width_ms=20.0)[0]
             assert delays == alone_delays
             assert hist == alone_hist
 
     def test_specs_on_one_path_get_their_own_lists(self):
-        specs = [
-            BenchmarkSpec(path=AccessPath.RELAY_WIFI, repetitions=200, seed=2, bin_width_ms=width,
-                          bin_count=count)
-            for width, count in [(50.0, 160), (5.0, 40)]
-        ]
-        (hist_a, delays_a), (hist_b, delays_b) = sample_benchmark(specs)
+        paths = [AccessPath.RELAY_WIFI, AccessPath.RELAY_WIFI]
+        (hist_a, delays_a), (hist_b, delays_b) = sample_benchmark(
+            paths, 200, seed=2, bin_width_ms=5.0, bin_count=40
+        )
         assert delays_a is not delays_b
-        for spec, hist, delays in zip(specs, (hist_a, hist_b), (delays_a, delays_b)):
-            assert (hist, delays) == sample_benchmark([spec])[0]
+        assert hist_a is not hist_b
+        for hist, delays in ((hist_a, delays_a), (hist_b, delays_b)):
+            alone = sample_benchmark([AccessPath.RELAY_WIFI], 200, seed=2, bin_width_ms=5.0,
+                                     bin_count=40)[0]
+            assert (hist, delays) == alone
         unsorted = list(delays_b)
         delays_a.sort()
         assert delays_b == unsorted != delays_a
 
-    @pytest.mark.parametrize(
-        "field, value",
-        [("seed", 6), ("repetitions", 20), ("params", LatencyParams(external_sd=1.0))],
-    )
-    def test_specs_must_share_the_draw(self, field, value):
-        first = BenchmarkSpec(path=AccessPath.DIRECT_EXTERNAL, repetitions=10, seed=5)
-        other = replace(first, path=AccessPath.RELAY_WIFI, **{field: value})
-        with pytest.raises(ValueError):
-            sample_benchmark([first, other])
-
     def test_one_se_serves_every_spec(self):
         se = CountingSecureElement()
-        paths = (AccessPath.DIRECT_EXTERNAL, AccessPath.RELAY_WIFI, AccessPath.DIRECT_INTERNAL)
-        specs = [BenchmarkSpec(path=path, repetitions=50, seed=3) for path in paths]
-        results = sample_benchmark(specs, se=se)
-        assert se.calls == len(specs)
-        assert results == sample_benchmark(specs)
+        paths = [AccessPath.DIRECT_EXTERNAL, AccessPath.RELAY_WIFI, AccessPath.DIRECT_INTERNAL]
+        results = sample_benchmark(paths, 50, seed=3, se=se)
+        assert se.calls == len(paths)
+        assert results == sample_benchmark(paths, 50, seed=3)
 
 
 class TestAsciiChart:

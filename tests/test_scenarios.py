@@ -8,6 +8,7 @@ import pytest
 
 from serelay import cli, scenarios
 from serelay.latency import AccessPath, LatencyParams
+from serelay.profile import CardProfile, CountermeasurePolicy
 from serelay.scenarios import run_pos_direct, run_relay_attack
 from serelay.secure_element import ChannelOrigin, SecureElement
 from serelay.terminal import APPROVED, TIMED_OUT
@@ -134,3 +135,22 @@ def test_failed_loopback_join_is_a_usage_error_at_the_cli(monkeypatch, capsys):
     raised = _guarded(lambda: cli.main(["relay-attack", "--seed", "1", "--transport", "tcp"]))
     assert isinstance(raised, SystemExit) and raised.code == 2
     assert "Cannot assign requested address" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("run", [run_pos_direct, run_relay_attack])
+@pytest.mark.parametrize(
+    "card",
+    [
+        {"profile": CardProfile()},
+        {"policy": CountermeasurePolicy(require_pin_on_card=True)},
+        {"atc": 9},
+    ],
+    ids=["profile", "policy", "atc"],
+)
+def test_a_card_given_two_ways_is_refused(run, card):
+    # with se= the other card options used to be dropped: the PIN policy
+    # was never applied and the relay approved
+    se = SecureElement()
+    with pytest.raises(ValueError, match="pass se or profile/policy/atc, not both"):
+        run(se=se, seed=1, **card)
+    assert se.atc == 0
