@@ -1,9 +1,8 @@
-"""Round-trip delay benchmark harness with histogram binning and CSV export.
+"""Round-trip delay benchmark: histogram binning and CSV export.
 
-One :func:`sample_benchmark` call is one run: its paths share one seed,
-repetition count, set of delay params and bin layout. It checks once that
-each path answers a SELECT of the card manager, on one secure element shared
-by every path, then draws the delays in one
+One :func:`sample_benchmark` call is one run, a pure function of the delay
+model: its paths share one seed, repetition count, set of delay params and
+bin layout, and their delays come from one
 :func:`~serelay.latency.sample_columns` call: each index is hashed once, every
 path's column comes from those draws, and each path bins its own copy.
 The default layout is 160 bins of 50 ms where the last bin collects
@@ -23,15 +22,10 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .latency import DEFAULT_PARAMS, AccessPath, LatencyParams, sample_columns
-from .secure_element import ChannelOrigin, ISD_PREFIX_AID, SecureElement, select_command
 
 
 # columns of the longest bar in render_ascii
 BAR_WIDTH = 60
-
-
-class BenchmarkError(Exception):
-    """The benchmark path did not deliver usable responses."""
 
 
 @dataclass
@@ -174,38 +168,18 @@ def sample_benchmark(
     params: Optional[LatencyParams] = None,
     bin_width_ms: float = 50.0,
     bin_count: int = 160,
-    se: Optional[SecureElement] = None,
 ) -> list[tuple[Histogram, list[float]]]:
     """Bin ``repetitions`` modelled round-trip delays of each of ``paths``.
 
-    The histograms are built first, so a bad layout raises before anything
-    else. Each path then gets one availability exchange on ``se`` (default:
-    one fresh SE): open its channel, SELECT the card manager, close. That
-    exchange leaves nothing behind, so one SE serves every path. A failure
-    raises :class:`BenchmarkError` before any delay is drawn.
-
-    The result holds one ``(histogram, delays)`` pair per path, in order,
-    each equal to what the path gives alone; a path given twice gets equal
-    but separate lists. Every path's column comes from one
+    The histograms are built first, so a bad layout raises before any delay
+    is drawn. The result holds one ``(histogram, delays)`` pair per path, in
+    order, each equal to what the path gives alone; a path given twice gets
+    equal but separate lists. Every path's column comes from one
     :func:`sample_columns` call, which hashes each repetition's index once.
     """
     hists = [Histogram(bin_width_ms, bin_count) for _ in paths]
     if repetitions <= 0:
         raise ValueError("repetitions must be positive")
-    if se is None:
-        se = SecureElement()
-    for path in paths:
-        contactless = path is AccessPath.DIRECT_EXTERNAL
-        origin = ChannelOrigin.CONTACTLESS if contactless else ChannelOrigin.INTERNAL
-        se.open_session(origin)
-        try:
-            resp = se.process(origin, select_command(ISD_PREFIX_AID))
-        finally:
-            se.close_session(origin)
-        if not resp.is_success:
-            raise BenchmarkError(
-                f"path {path.value} unavailable: workload answered {resp.sw:04X}"
-            )
     if params is None:
         params = DEFAULT_PARAMS
     columns = sample_columns(paths, seed, range(repetitions), params)

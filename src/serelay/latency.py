@@ -70,7 +70,7 @@ class LatencyParams(JsonConfig):
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            if not math.isfinite(value):
+            if not abs(value) <= sys.float_info.max:  # inf, nan or an int too large for a float
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
             if f.name.endswith(("_median", "_mode")):
                 if value <= 0:

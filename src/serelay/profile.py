@@ -30,7 +30,7 @@ def luhn_check_digit(digits: str) -> int:
 
 
 def luhn_valid(digits: str) -> bool:
-    if not digits.isdigit() or len(digits) < 2:
+    if not (digits.isascii() and digits.isdigit()) or len(digits) < 2:
         return False
     return luhn_check_digit(digits[:-1]) == int(digits[-1])
 
@@ -43,7 +43,9 @@ DEFAULT_PAN = _DEFAULT_PAN_BASE + str(luhn_check_digit(_DEFAULT_PAN_BASE))
 
 
 def _require_digits(name: str, value: str, length: int) -> None:
-    if not (isinstance(value, str) and value.isdigit() and len(value) == length):
+    # str.isdigit alone takes superscripts and other scripts' digits
+    if not (isinstance(value, str) and value.isascii() and value.isdigit()
+            and len(value) == length):
         raise ValueError(f"{name} must be {length} decimal digits, got {value!r}")
 
 
@@ -149,7 +151,7 @@ class CardProfile(JsonConfig):
         _require_bytes("track2_cvc3_bitmap", self.track2_cvc3_bitmap, 2)
         _require_bytes("track2_unatc_bitmap", self.track2_unatc_bitmap, 2)
         _require_bytes("cvc3_key", self.cvc3_key, 16)
-        if not (self.pin.isdigit() and 4 <= len(self.pin) <= 8):
+        if not (self.pin.isascii() and self.pin.isdigit() and 4 <= len(self.pin) <= 8):
             raise ValueError("pin must be 4-8 decimal digits")
         for name in ("track1_atc_digits", "track2_atc_digits"):
             if not 0 <= getattr(self, name) <= 9:

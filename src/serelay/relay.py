@@ -340,17 +340,18 @@ def se_exchange(se, origin: ChannelOrigin, capdu: bytes) -> bytes:
     return se.process(origin, cmd).to_bytes()
 
 
-def unlock_wallet(se, pin: Optional[str] = None) -> Optional[WireFrame]:
+def unlock_wallet(se, verify: Optional[CommandApdu] = None) -> Optional[WireFrame]:
     """What the wallet app does on the owner's phone: select, verify, unlock.
 
-    Opens the internal channel first; returns the ERROR frame saying why the
+    Opens the internal channel first; ``verify`` is the PIN's VERIFY command
+    (:func:`verify_command`), if any. Returns the ERROR frame saying why the
     wallet stayed locked, or ``None`` once it is unlocked.
     """
     se.open_session(ChannelOrigin.INTERNAL)
     if not se.process(ChannelOrigin.INTERNAL, _SELECT_WALLET).is_success:
         return error_frame(ErrorReason.ACCESS_DENIED, "on-card component")
-    if pin is not None:
-        se.process(ChannelOrigin.INTERNAL, verify_command(pin))
+    if verify is not None:
+        se.process(ChannelOrigin.INTERNAL, verify)
     unlock = se.process(ChannelOrigin.INTERNAL, UNLOCK_COMMAND)
     if not unlock.is_success:
         return error_frame(ErrorReason.UNLOCK_FAILED, f"sw={unlock.sw:04X}")
@@ -470,7 +471,8 @@ class RelayApp(SecureElementHost):
     any object with the same ``open_session``/``process``/``lock_wallet``/
     ``close_session`` surface (e.g. a remote client). ``pin`` is the wallet
     PIN the attacker managed to learn, if any; without it the on-card PIN
-    countermeasure makes the unlock step fail. The teardown is the SE host's.
+    countermeasure makes the unlock step fail. A PIN that VERIFY cannot
+    encode raises ``ValueError`` here. The teardown is the SE host's.
     """
 
     def __init__(
@@ -483,11 +485,11 @@ class RelayApp(SecureElementHost):
         if hard_ceiling_ms is not None and not 0 < hard_ceiling_ms < math.inf:
             raise ValueError("hard_ceiling_ms must be positive and finite")
         super().__init__(se, model=model)
-        self.pin = pin
+        self._verify = None if pin is None else verify_command(pin)
         self.hard_ceiling_ms = hard_ceiling_ms
 
     def _open(self) -> Optional[WireFrame]:
-        failure = unlock_wallet(self.se, self.pin)
+        failure = unlock_wallet(self.se, self._verify)
         if failure is not None:
             return failure
         # probe that the payment applet is actually reachable on this channel

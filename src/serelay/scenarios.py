@@ -27,7 +27,7 @@ from .relay import (
     connect,
     unlock_wallet,
 )
-from .secure_element import ChannelOrigin, SecureElement
+from .secure_element import ChannelOrigin, SecureElement, verify_command
 from .terminal import TerminalConfig, TransactionReport, run_transaction
 
 logger = logging.getLogger(__name__)
@@ -74,7 +74,8 @@ def run_pos_direct(
     seed = resolve_seed(seed)
     cfg = TerminalConfig(timeout_ms=timeout_ms, seed=seed)
     se = _card(se, profile, policy, atc)
-    if unlock and unlock_wallet(se, pin) is not None:
+    verify = None if pin is None else verify_command(pin)
+    if unlock and unlock_wallet(se, verify) is not None:
         logger.info("local unlock failed; transaction will run against a locked wallet")
     if path is None:
         contactless = origin is ChannelOrigin.CONTACTLESS

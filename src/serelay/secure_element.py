@@ -3,7 +3,7 @@
 Models the applet registry of a wallet-enabled phone: a payment system
 environment directory, a Mag-Stripe payment applet gated by a wallet lock
 flag, the wallet's on-card control component (reachable only through the
-internal interface), and a card-manager stub used as benchmark workload.
+internal interface), and a card-manager stub for the issuer security domain.
 
 Commands arrive on one of two channels (internal or contactless) and every
 command yields exactly one response APDU; failures are status words, never
@@ -350,7 +350,7 @@ class WalletControlApplet(Applet):
 
 
 class CardManagerStub(Applet):
-    """Issuer security domain stand-in used purely as a timing workload.
+    """Issuer security domain stand-in: the card manager every real SE holds.
 
     Registered under both its full AID and the 7-byte name commonly used to
     select it, and answers SELECT with a fixed 103-byte payload (a 105-byte

@@ -5,7 +5,6 @@ import pytest
 from serelay import bench
 from serelay.apdu import CommandApdu
 from serelay.bench import (
-    BenchmarkError,
     Histogram,
     histogram_from_csv,
     histogram_to_csv,
@@ -14,24 +13,7 @@ from serelay.bench import (
 )
 from serelay.cli import main
 from serelay.latency import AccessPath
-from serelay.profile import CardProfile
-from serelay.secure_element import (
-    ISD_PREFIX_AID,
-    ChannelOrigin,
-    PaymentApplet,
-    PpseApplet,
-    SecureElement,
-    WalletControlApplet,
-    select_command,
-)
-
-
-class CountingSecureElement(SecureElement):
-    calls = 0
-
-    def process(self, origin, cmd):
-        self.calls += 1
-        return super().process(origin, cmd)
+from serelay.secure_element import ISD_PREFIX_AID, ChannelOrigin, SecureElement, select_command
 
 
 class TestHistogram:
@@ -223,35 +205,10 @@ class TestRunBenchmark:
         assert resp.is_success
         assert len(resp.to_bytes()) == 105
 
-    def test_unavailable_path_aborts(self):
-        # an SE without the card manager stub cannot serve the workload
-        profile = CardProfile()
-        se = SecureElement(
-            profile=profile,
-            applets=(PpseApplet(), PaymentApplet(profile), WalletControlApplet()),
-        )
-        with pytest.raises(BenchmarkError):
-            sample_benchmark([AccessPath.DIRECT_EXTERNAL], 10, seed=0, se=se)
-
     @pytest.mark.parametrize("repetitions", [1, 500])
-    def test_one_exchange_per_run(self, repetitions):
-        se = CountingSecureElement()
-        [(hist, _delays)] = sample_benchmark([AccessPath.RELAY_WIFI], repetitions, seed=0, se=se)
+    def test_one_count_per_repetition(self, repetitions):
+        [(hist, _delays)] = sample_benchmark([AccessPath.RELAY_WIFI], repetitions, seed=0)
         assert hist.total == repetitions
-        assert se.calls == 1
-
-    def test_unavailable_path_aborts_before_any_draw(self, monkeypatch):
-        def no_draw(*args):
-            raise AssertionError("a delay was drawn")
-
-        monkeypatch.setattr(bench, "sample_columns", no_draw)
-        profile = CardProfile()
-        se = SecureElement(
-            profile=profile,
-            applets=(PpseApplet(), PaymentApplet(profile), WalletControlApplet()),
-        )
-        with pytest.raises(BenchmarkError, match="path internal unavailable"):
-            sample_benchmark([AccessPath.DIRECT_INTERNAL], 10, seed=0, se=se)
 
     def test_bad_spec_rejected(self):
         with pytest.raises(ValueError, match="repetitions must be positive"):
@@ -272,10 +229,8 @@ class TestRunBenchmark:
             raise AssertionError("a delay was drawn")
 
         monkeypatch.setattr(bench, "sample_columns", no_draw)
-        se = CountingSecureElement()
         with pytest.raises(ValueError, match=message):
-            sample_benchmark(list(AccessPath), 0, se=se, **layout)  # the layout raises first
-        assert se.calls == 0
+            sample_benchmark(list(AccessPath), 0, **layout)  # the layout raises first
 
     def test_bad_layout_fails_before_any_draw(self, monkeypatch, capsys, tmp_path):
         def no_draw(*args):
@@ -315,13 +270,6 @@ class TestSampleIndexMajor:
         unsorted = list(delays_b)
         delays_a.sort()
         assert delays_b == unsorted != delays_a
-
-    def test_one_se_serves_every_spec(self):
-        se = CountingSecureElement()
-        paths = [AccessPath.DIRECT_EXTERNAL, AccessPath.RELAY_WIFI, AccessPath.DIRECT_INTERNAL]
-        results = sample_benchmark(paths, 50, seed=3, se=se)
-        assert se.calls == len(paths)
-        assert results == sample_benchmark(paths, 50, seed=3)
 
 
 class TestAsciiChart:

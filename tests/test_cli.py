@@ -539,3 +539,23 @@ class TestParserBuiltOnce:
                 rc = exc.code
             captured = capsys.readouterr()
             assert (rc, captured.out, captured.err) == (lone.returncode, lone.stdout, lone.stderr)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "--path", "wifi", "--reps", "50"],
+        ["relay-attack", "--seed", "1"],
+        ["relay-attack", "--seed", "1", "--transport", "tcp"],
+    ],
+)
+def test_latency_integer_too_large_for_a_float_is_usage_error(argv, tmp_path, capsys):
+    # math.isfinite raised OverflowError on it: a traceback, not exit 2
+    path = tmp_path / "latency.json"
+    path.write_text('{"internal_high": 1%s}' % ("0" * 399))
+    with pytest.raises(SystemExit) as exc_info:
+        main([*argv, "--latency-params", str(path)])
+    assert exc_info.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: {path}: internal_high must be finite, got 1{'0' * 399}\n"
+    )

@@ -10,6 +10,9 @@ from serelay.profile import (
     luhn_valid,
 )
 
+ARABIC_INDIC_DIGITS = "".join(chr(0x660 + d) for d in range(10))
+SUPERSCRIPT_DIGITS = "\u2070\u00b9\u00b2\u00b3\u2074\u2075\u2076\u2077\u2078\u2079"
+
 
 def reference_luhn_valid(number: str) -> bool:
     """Independent mod-10 check: double every second digit from the right."""
@@ -45,6 +48,12 @@ class TestLuhn:
         good = luhn_check_digit(base)
         assert not luhn_valid(base + str((good + 1) % 10))
 
+    @pytest.mark.parametrize("digits", [ARABIC_INDIC_DIGITS, SUPERSCRIPT_DIGITS],
+                             ids=["arabic-indic", "superscript"])
+    def test_digits_that_are_not_ascii_are_not_valid(self, digits):
+        # int() reads Arabic-Indic digits and refuses superscripts
+        assert not luhn_valid("".join(digits[int(d)] for d in DEFAULT_PAN))
+
 
 class TestCardProfile:
     def test_default_track2_layout(self):
@@ -74,6 +83,22 @@ class TestCardProfile:
             CardProfile(cvc3_key=b"short")
         with pytest.raises(ValueError):
             CardProfile(pin="12")
+
+    @pytest.mark.parametrize("digits", [ARABIC_INDIC_DIGITS, SUPERSCRIPT_DIGITS],
+                             ids=["arabic-indic", "superscript"])
+    @pytest.mark.parametrize("name, message", [
+        ("pan", "pan must be 16 decimal digits"),
+        ("expiry", "expiry must be 4 decimal digits"),
+        ("service_code", "service_code must be 3 decimal digits"),
+        ("discretionary", "discretionary must be 13 decimal digits"),
+        ("pin", "pin must be 4-8 decimal digits"),
+    ])
+    def test_rejects_digits_that_are_not_ascii(self, name, message, digits):
+        # str.isdigit takes these, but track 1 and VERIFY encode only ASCII;
+        # the last digit keeps its value, so the PAN stays Luhn-valid
+        value = getattr(CardProfile(), name)
+        with pytest.raises(ValueError, match=message):
+            CardProfile(**{name: value[:-1] + digits[int(value[-1])]})
 
     def test_json_round_trip(self, tmp_path):
         p = CardProfile(pin="4321")

@@ -154,3 +154,13 @@ def test_a_card_given_two_ways_is_refused(run, card):
     with pytest.raises(ValueError, match="pass se or profile/policy/atc, not both"):
         run(se=se, seed=1, **card)
     assert se.atc == 0
+
+
+@pytest.mark.parametrize("transport", ["inproc", "tcp"])
+def test_pin_that_is_not_ascii_is_refused_before_any_session(transport):
+    # the VERIFY command used to be built at session open: over TCP the
+    # relay-app thread died on it and the run reported the relay unreachable
+    relays_before = _relay_threads()
+    with pytest.raises(ValueError, match="ascii"):
+        run_relay_attack(seed=7, relay_pin="12\u00e94", transport=transport)
+    assert _relay_threads() == relays_before
