@@ -42,11 +42,18 @@ _DEFAULT_PAN_BASE = "543000000007000"  # 15 digits; check digit appended below
 DEFAULT_PAN = _DEFAULT_PAN_BASE + str(luhn_check_digit(_DEFAULT_PAN_BASE))
 
 
-def _require_digits(name: str, value: str, length: int) -> None:
+def _require_digits(name: str, value: str, fewest: int, most: int) -> str:
     # str.isdigit alone takes superscripts and other scripts' digits
     if not (isinstance(value, str) and value.isascii() and value.isdigit()
-            and len(value) == length):
-        raise ValueError(f"{name} must be {length} decimal digits, got {value!r}")
+            and fewest <= len(value) <= most):
+        count = fewest if fewest == most else f"{fewest}-{most}"
+        raise ValueError(f"{name} must be {count} decimal digits (ascii), got {value!r}")
+    return value
+
+
+def check_pin(pin: str) -> str:
+    """``pin`` itself if VERIFY can carry it: 4-8 ASCII decimal digits."""
+    return _require_digits("pin", pin, 4, 8)
 
 
 def _require_bytes(name: str, value: bytes, length: int) -> None:
@@ -140,19 +147,18 @@ class CardProfile(JsonConfig):
     pin: str = "1234"
 
     def __post_init__(self) -> None:
-        _require_digits("pan", self.pan, 16)
+        _require_digits("pan", self.pan, 16, 16)
         if not luhn_valid(self.pan):
             raise ValueError(f"PAN {self.pan!r} fails the Luhn check")
-        _require_digits("expiry", self.expiry, 4)
-        _require_digits("service_code", self.service_code, 3)
-        _require_digits("discretionary", self.discretionary, 13)
+        _require_digits("expiry", self.expiry, 4, 4)
+        _require_digits("service_code", self.service_code, 3, 3)
+        _require_digits("discretionary", self.discretionary, 13, 13)
         _require_bytes("track1_cvc3_bitmap", self.track1_cvc3_bitmap, 6)
         _require_bytes("track1_unatc_bitmap", self.track1_unatc_bitmap, 6)
         _require_bytes("track2_cvc3_bitmap", self.track2_cvc3_bitmap, 2)
         _require_bytes("track2_unatc_bitmap", self.track2_unatc_bitmap, 2)
         _require_bytes("cvc3_key", self.cvc3_key, 16)
-        if not (self.pin.isascii() and self.pin.isdigit() and 4 <= len(self.pin) <= 8):
-            raise ValueError("pin must be 4-8 decimal digits")
+        check_pin(self.pin)
         for name in ("track1_atc_digits", "track2_atc_digits"):
             if not 0 <= getattr(self, name) <= 9:
                 raise ValueError(f"{name} out of range")

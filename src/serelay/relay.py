@@ -51,6 +51,9 @@ MAX_PAYLOAD_LEN = 0xFFFF
 _RECV_SIZE = 4096
 # how long a session client waits for the SESSION_CLOSE echo of a silent peer
 CLOSE_ACK_TIMEOUT_MS = 1000.0
+# how long a serving endpoint waits for its peer's next frame; above every
+# legitimate silence, such as a modelled delay or cli.PEER_WAIT_S
+IDLE_LIMIT_MS = 60_000.0
 
 
 class FrameKind(IntEnum):
@@ -178,12 +181,12 @@ class Transport(Protocol):
 class SocketTransport:
     """Frame stream over a connected TCP (or socketpair) socket.
 
-    The socket stays in blocking mode. Bytes read past the current frame are
-    kept, so a frame that is already buffered costs no syscall. A read with a
-    timeout waits against one deadline for the whole frame, so a peer that
-    drips bytes cannot stretch it; timing out in the middle of a frame closes
-    the transport, since the rest of that frame would be read as the next
-    header.
+    The socket stays in blocking mode. Every byte read goes into one buffer,
+    and a frame is cut off its front once whole, so a frame that is already
+    buffered costs no syscall. A read with a timeout waits in ``select``
+    against one deadline for the whole frame, so a peer that drips bytes
+    cannot stretch it; timing out in the middle of a frame closes the
+    transport, since the rest of that frame would be read as the next header.
     """
 
     def __init__(self, sock: socket.socket):
@@ -205,13 +208,9 @@ class SocketTransport:
             raise TransportClosed("transport already closed")
         buf = self._buf
         deadline = None
-        while True:
-            if len(buf) >= FRAME_HEADER_LEN:
-                end = FRAME_HEADER_LEN + (buf[1] << 8 | buf[2])
-                if len(buf) >= end:
-                    raw = bytes(buf[:end])
-                    del buf[:end]
-                    return WireFrame.decode(raw)
+        # where the frame ends: past the buffer while its header is partial
+        while len(buf) < (end := FRAME_HEADER_LEN + (
+                buf[1] << 8 | buf[2] if len(buf) >= FRAME_HEADER_LEN else 0)):
             if timeout_ms is not None:
                 if deadline is None:
                     deadline = time.monotonic() + timeout_ms / 1000.0
@@ -227,13 +226,10 @@ class SocketTransport:
                 raise TransportClosed(str(exc)) from exc
             if not chunk:
                 raise TransportClosed("peer closed the connection")
-            if (
-                not buf
-                and len(chunk) >= FRAME_HEADER_LEN
-                and len(chunk) == FRAME_HEADER_LEN + (chunk[1] << 8 | chunk[2])
-            ):
-                return WireFrame.decode(chunk)  # the usual case: one chunk, one frame
             buf += chunk
+        raw = bytes(buf[:end])
+        del buf[:end]
+        return WireFrame.decode(raw)
 
     def wait_ms(self, delay_ms: float, limit_ms: float = math.inf) -> bool:
         if delay_ms > 0:
@@ -436,12 +432,12 @@ class SessionEndpoint:
         return [error_frame(ErrorReason.SESSION_STATE, f"unexpected {frame.kind.name}")]
 
     def serve(self, transport: Transport) -> None:
-        """Drive one connection until the peer goes away."""
+        """Drive one connection until the peer goes away or idles past IDLE_LIMIT_MS."""
         try:
             while True:
-                for reply in self.handle_frame(transport.recv_frame(), transport):
+                for reply in self.handle_frame(transport.recv_frame(IDLE_LIMIT_MS), transport):
                     transport.send_frame(reply)
-        except (TransportClosed, RelayProtocolError):
+        except (TransportClosed, RelayProtocolError, ExchangeTimeout):
             pass
         finally:
             self.end_session()

@@ -19,7 +19,7 @@ from typing import Dict, Iterable, Optional, Sequence
 
 from . import tlv
 from .apdu import CommandApdu, ResponseApdu
-from .profile import CardProfile, CountermeasurePolicy
+from .profile import CardProfile, CountermeasurePolicy, check_pin
 from .tlv import TlvNode
 
 
@@ -72,7 +72,7 @@ def select_command(aid: bytes) -> CommandApdu:
 
 
 def verify_command(pin: str) -> CommandApdu:
-    return CommandApdu(0x00, INS_VERIFY, 0x00, 0x00, data=pin.encode("ascii"))
+    return CommandApdu(0x00, INS_VERIFY, 0x00, 0x00, data=check_pin(pin).encode("ascii"))
 
 
 UNLOCK_COMMAND = CommandApdu(0x80, INS_LOCK_CTRL, 0x00, P2_UNLOCK, le=0)

@@ -386,6 +386,18 @@ class TestBitIdentity:
         assert (c.path, c.seed, c.params) == (m.path, m.seed, m.params)
         assert c.samples(2) == m.samples(2) == [m.sample_at(3), m.sample_at(4)]
 
+    @pytest.mark.parametrize(
+        "make", [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))], ids=["deepcopy", "pickle"]
+    )
+    def test_copied_model_continues_its_sample_sequence(self, make):
+        # a digest state does not pickle, so the copy rebuilds it from the seed
+        m = LatencyModel(AccessPath.RELAY_WIFI, 11)
+        m.sample_ms()
+        m.sample_ms()
+        c = make(m)
+        assert [c.sample_ms() for _ in range(3)] == [m.sample_ms() for _ in range(3)]
+        assert c.sample_ms() == m.sample_at(5)
+
     def test_save_writes_only_the_fields(self, tmp_path):
         LatencyParams(**CHANGED_FIELDS).save(tmp_path / "latency.json")
         saved = json.loads((tmp_path / "latency.json").read_text())

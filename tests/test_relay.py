@@ -3,9 +3,11 @@ import dataclasses
 import errno
 import math
 import random
+import select
 import socket
 import threading
 import time
+import types
 
 import pytest
 
@@ -447,6 +449,27 @@ class TestTcpTransport:
             transport.close()
             far.close()
 
+    def test_a_buffered_frame_costs_no_syscall(self, monkeypatch):
+        near, far = socket.socketpair()
+        transport = SocketTransport(near)
+        frames = [WireFrame(FrameKind.R_APDU, bytes((n, 0x90, 0x00))) for n in range(3)]
+
+        def syscall(*args):
+            pytest.fail("a read with a whole frame buffered made a syscall")
+
+        try:
+            far.sendall(b"".join(f.encode() for f in frames))
+            assert transport.recv_frame() == frames[0]
+            transport._sock = types.SimpleNamespace(recv=syscall)
+            monkeypatch.setattr(select, "select", syscall)
+            assert transport.recv_frame() == frames[1]
+            assert transport.recv_frame(timeout_ms=0) == frames[2]
+        finally:
+            monkeypatch.undo()
+            transport._sock = near
+            transport.close()
+            far.close()
+
     def test_unanswered_close_does_not_block(self):
         near, far = socket.socketpair()
         peer = SocketTransport(far)
@@ -680,6 +703,35 @@ class TestServeAgainstBadPeers:
         assert errors == []
         assert se.wallet_locked
         assert not endpoint.session_open
+
+    @pytest.mark.parametrize("role", ["relay_app", "se_host"])
+    def test_peer_that_stalls_mid_session_is_dropped_at_the_idle_limit(self, role, monkeypatch):
+        # the peer opens a session, unlocking the wallet, and then sends
+        # nothing; the endpoint used to wait for it, wallet unlocked, forever
+        monkeypatch.setattr("serelay.relay.IDLE_LIMIT_MS", 200.0)
+        se = SecureElement()
+        endpoint = RelayApp(se) if role == "relay_app" else SecureElementHost(se)
+        near, far = socket.socketpair()
+        thread, errors = self.start(endpoint, near)
+        peer = SocketTransport(far)
+        try:
+            peer.send_frame(WireFrame(FrameKind.SESSION_OPEN))
+            assert peer.recv_frame(timeout_ms=2000).kind is FrameKind.SESSION_OPEN
+            if role == "se_host":
+                for capdu in (SELECT_WALLET_C, UNLOCK_C):
+                    peer.send_frame(WireFrame(FrameKind.C_APDU, parse_hex(capdu)))
+                    assert peer.recv_frame(timeout_ms=2000).payload == b"\x90\x00"
+            assert not se.wallet_locked
+            thread.join(timeout=1.0)
+            assert not thread.is_alive()
+            assert errors == []
+            assert se.wallet_locked
+            assert not endpoint.session_open
+            with pytest.raises(TransportClosed):  # the endpoint hung up
+                peer.recv_frame(timeout_ms=1000)
+        finally:
+            peer.close()
+            thread.join(timeout=5)
 
     def test_peer_hanging_up_cuts_the_relay_wait_short(self):
         # every delay is over 5 s; the peer hangs up after 50 ms, and the relay

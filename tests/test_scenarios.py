@@ -164,3 +164,21 @@ def test_pin_that_is_not_ascii_is_refused_before_any_session(transport):
     with pytest.raises(ValueError, match="ascii"):
         run_relay_attack(seed=7, relay_pin="12\u00e94", transport=transport)
     assert _relay_threads() == relays_before
+
+
+PIN_RUNS = {
+    "relay-inproc": lambda pin: run_relay_attack(seed=7, relay_pin=pin),
+    "relay-tcp": lambda pin: run_relay_attack(seed=7, relay_pin=pin, transport="tcp"),
+    "direct": lambda pin: run_pos_direct(seed=7, pin=pin),
+}
+
+
+@pytest.mark.parametrize("pin", ["12\u00e94", "12"], ids=["not-ascii", "too-short"])
+@pytest.mark.parametrize("run", list(PIN_RUNS.values()), ids=list(PIN_RUNS))
+def test_a_pin_verify_cannot_carry_is_refused_by_its_rule(run, pin):
+    # a non-ASCII PIN used to fail with the codec's own text, naming neither
+    # the PIN nor the rule, and a two-digit one reached the card
+    relays_before = _relay_threads()
+    with pytest.raises(ValueError, match=f"^pin must be 4-8 decimal digits .*{pin!r}$"):
+        run(pin)
+    assert _relay_threads() == relays_before
