@@ -7,8 +7,8 @@ bin layout, and their delays come from one
 path's column comes from those draws, and each path bins its own copy.
 The default layout is 160 bins of 50 ms where the last bin collects
 everything at or above 7950 ms, ``inf`` included; zoomed layouts are a matter
-of passing a different width/count. The CSV row labels of a layout are
-formatted once and reused by every later export with the same layout.
+of passing a different width/count. A layout's CSV row labels are formatted
+once; every export writes them, and the reader accepts no others.
 
 The binned value per repetition is the sampled path delay alone, so seeded
 runs are bit-identical across repeats; the host's own compute time never
@@ -99,48 +99,38 @@ def histogram_to_csv(hist: Histogram) -> str:
     return "bin_start_ms,bin_end_ms,count\n" + rows
 
 
-def _close(a: float, b: float) -> bool:
-    # relative as well as absolute: an edge far from zero loses low bits when
-    # a row's width is taken as end - start
-    return math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-9)
-
-
 def histogram_from_csv(text: str) -> Histogram:
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines or lines[0] != "bin_start_ms,bin_end_ms,count":
+    """The histogram whose :func:`histogram_to_csv` text is ``text``, exactly.
+
+    The first row's end gives the bin width; every row must begin with the
+    label :func:`_csv_labels` writes for that layout, so ``0.0,50.0`` for
+    ``0,50`` is refused and names its row.
+    """
+    header, *rows = [line for line in text.splitlines() if line.strip()] or [""]
+    if header != "bin_start_ms,bin_end_ms,count":
         raise ValueError("missing histogram CSV header")
-    rows = lines[1:]
-    if len(rows) < 2:
-        raise ValueError("histogram CSV needs at least two bins")
+    ends: list[float] = []
     counts: list[int] = []
-    width: Optional[float] = None
     for i, row in enumerate(rows):
         cells = row.split(",")
         if len(cells) != 3:
             raise ValueError(f"row {i} has {len(cells)} fields, expected 3")
-        start_s, end_s, count_s = cells
-        last = i == len(rows) - 1
+        start, end, count = cells
         try:
-            start = float(start_s)
-            end = None if last else float(end_s)
-            count = int(count_s)
+            float(start)
+            if end != "overflow":
+                ends.append(float(end))
+            counts.append(int(count))
         except ValueError:
             raise ValueError(f"row {i} has a field that is not a number: {row!r}") from None
-        if count < 0:
-            raise ValueError(f"row {i} has a negative count {count}")
-        counts.append(count)
-        if end is not None:
-            row_width = end - start
-            if width is None:
-                width = row_width
-            elif not _close(row_width, width):
-                raise ValueError(f"inconsistent bin width in row {i}")
-        elif end_s != "overflow":
-            raise ValueError("final row must be the overflow bin")
-        if width is not None and not _close(start, i * width):
-            raise ValueError(f"row {i} does not start on a bin boundary")
-    assert width is not None
-    return Histogram(bin_width_ms=width, bin_count=len(rows), counts=counts)
+        if counts[-1] < 0:
+            raise ValueError(f"row {i} has a negative count {counts[-1]}")
+    # with no numeric end the default width stands; the bin count or a label fails
+    hist = Histogram(*ends[:1], bin_count=len(counts), counts=counts)
+    for i, (row, label) in enumerate(zip(rows, _csv_labels(hist.bin_width_ms, hist.bin_count))):
+        if not row.startswith(label):
+            raise ValueError(f"row {i} is not labelled {label[:-1]!r}: {row!r}")
+    return hist
 
 
 def render_ascii(hist: Histogram) -> str:

@@ -25,7 +25,7 @@ from .apdu import CommandApdu, MalformedApdu, ResponseApdu
 from .bench import histogram_to_csv, render_ascii, sample_benchmark
 from .hexutil import format_hex, parse_hex
 from .latency import AccessPath, LatencyModel, LatencyParams
-from .profile import CardProfile, CountermeasurePolicy
+from .profile import CardProfile, CountermeasurePolicy, check_pin
 from .relay import (
     CardEmulator,
     RelayApp,
@@ -284,6 +284,8 @@ def cmd_relay_app(args: argparse.Namespace) -> int:
     model = LatencyModel(
         AccessPath(args.model), seed, _load(LatencyParams, args.latency_params)
     )
+    if args.pin is not None:
+        check_pin(args.pin)  # a usage error before any connect
     se_link = None if args.se == "inproc" else connect(args.se, PEER_WAIT_S)
     relay = RelayApp(
         _secure_element(args) if se_link is None else RemoteSecureElement(se_link),

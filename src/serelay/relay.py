@@ -11,10 +11,10 @@ A session endpoint owns one SE channel and delays every C-APDU by the access
 path before the one hop into the SE; a direct run is a plain endpoint. The
 phone-side relay app is an SE host that selects the wallet's on-card
 component, unlocks the wallet and probes the payment applet on session open.
-Every session end (clean close, dead SE hop, cut-short wait, lost transport)
-goes through :meth:`SessionEndpoint.end_session`; on the SE host and the
-relay app it locks the wallet by a direct call, so an ended session never
-leaves it spendable.
+Every session end (clean close, dead or silent SE hop, cut-short wait, lost
+transport) goes through :meth:`SessionEndpoint.end_session`; on the SE host
+and the relay app it locks the wallet by a direct call, so an ended session
+never leaves it spendable.
 """
 from __future__ import annotations
 
@@ -49,8 +49,9 @@ MAX_PAYLOAD_LEN = 0xFFFF
 # APDU frames are a few hundred bytes at most; a longer frame takes more than
 # one recv. A read size of a whole 64 KiB frame raised peak RSS by ~0.3 MB.
 _RECV_SIZE = 4096
-# how long a session client waits for the SESSION_CLOSE echo of a silent peer
-CLOSE_ACK_TIMEOUT_MS = 1000.0
+# how long a session client waits for a reply that carries no modelled delay:
+# the SESSION_CLOSE echo, and every reply of an SE host
+REPLY_LIMIT_MS = 1000.0
 # how long a serving endpoint waits for its peer's next frame; above every
 # legitimate silence, such as a modelled delay or cli.PEER_WAIT_S
 IDLE_LIMIT_MS = 60_000.0
@@ -364,7 +365,7 @@ class SessionEndpoint:
     takes :func:`se_exchange` on ``origin``. A wait cut short, by the limit
     or by an early frame or hang-up of the peer, ends the session instead,
     with a TIMEOUT error if the ceiling was the limit. A remote SE that
-    vanishes mid-session ends the session with ACCESS_DENIED.
+    vanishes or falls silent mid-session ends the session with ACCESS_DENIED.
     """
 
     def __init__(self, se, origin=ChannelOrigin.INTERNAL, model=None):
@@ -507,12 +508,12 @@ class SessionClient:
         self.now_ms = transport.now_ms  # bound once: a read adds no call level
         self.session_open = False
 
-    def _open(self) -> None:
+    def _open(self, timeout_ms: Optional[float] = None) -> None:
         if self.session_open:
             return
         try:
             self.transport.send_frame(_OPEN_FRAME)
-            reply = self.transport.recv_frame()
+            reply = self.transport.recv_frame(timeout_ms)
         except (TransportClosed, RelayProtocolError) as exc:
             raise ActivationRefused(f"relay unreachable: {exc}") from exc
         if reply.kind is FrameKind.ERROR:
@@ -541,7 +542,7 @@ class SessionClient:
         self.session_open = False
         try:
             self.transport.send_frame(_CLOSE_FRAME)
-            self.transport.recv_frame(timeout_ms=CLOSE_ACK_TIMEOUT_MS)
+            self.transport.recv_frame(timeout_ms=REPLY_LIMIT_MS)
         except (TransportClosed, RelayProtocolError, ExchangeTimeout):
             pass
 
@@ -561,13 +562,26 @@ class CardEmulator(SessionClient):
 
 
 class RemoteSecureElement(SessionClient):
-    """Client for :class:`SecureElementHost`; quacks like a local SE."""
+    """Client for :class:`SecureElementHost`; quacks like a local SE.
+
+    The host adds no modelled delay, so each reply is awaited for at most
+    :data:`REPLY_LIMIT_MS`. A host silent for longer is taken as gone: the
+    link closes, so a late reply is never read as the answer to a later
+    command, and the call raises :class:`CardRemoved`.
+    """
+
+    def _bounded(self, call, *args):
+        try:
+            return call(*args, REPLY_LIMIT_MS)
+        except ExchangeTimeout as exc:
+            self.transport.close()
+            raise CardRemoved(f"SE host silent for {REPLY_LIMIT_MS:g} ms") from exc
 
     def open_session(self, origin: ChannelOrigin) -> None:
-        self._open()
+        self._bounded(self._open)
 
     def process(self, origin: ChannelOrigin, cmd: CommandApdu) -> ResponseApdu:
-        return ResponseApdu.parse(self.exchange(cmd.to_bytes()))
+        return ResponseApdu.parse(self._bounded(self.exchange, cmd.to_bytes()))
 
     def lock_wallet(self) -> None:
         """End the session: the host locks the wallet at every session end."""

@@ -4,6 +4,7 @@ import os
 import socket
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -481,6 +482,20 @@ class TestRelayApp:
             main(["relay-app", "--connect", "127.0.0.1:1", "--se", "bogus"])
         assert exc_info.value.code == 2
         assert "argument --se: 'bogus' is not HOST:PORT" in capsys.readouterr().err
+
+    def test_bad_pin_is_usage_error_before_any_connect(self, monkeypatch, capsys):
+        # a refused connect is retried for PEER_WAIT_S and then names only
+        # the refusal, so the PIN must be checked first
+        def connect(*args, **kwargs):
+            raise AssertionError("connected before the PIN was checked")
+
+        monkeypatch.setattr(socket, "create_connection", connect)
+        started = time.monotonic()
+        with pytest.raises(SystemExit) as exc_info:
+            main(["relay-app", "--connect", "127.0.0.1:1", "--se", "127.0.0.1:2", "--pin", "12"])
+        assert time.monotonic() - started < 1.0
+        assert exc_info.value.code == 2
+        assert "pin must be 4-8 decimal digits" in capsys.readouterr().err
 
 
 class TestSeHost:

@@ -19,6 +19,10 @@ Ceiling: a hard ceiling above every delay the run draws changes no report.
 Transport: each relation holds over TCP too, where a run says what the same
 run says in-process. There every wifi step takes one fixed time, and every
 limit stays MARGIN_MS from every step, so scheduling noise moves no outcome.
+
+SE host: the transparency, countermeasure and known-PIN relations hold with
+the SE behind an SE host, the three-role deployment run in one process, and
+every such run leaves that SE's wallet locked when it returns.
 """
 import math
 from dataclasses import replace
@@ -27,11 +31,13 @@ import pytest
 
 from serelay.latency import DEFAULT_PARAMS, AccessPath, LatencyModel, LatencyParams
 from serelay.profile import CountermeasurePolicy
+from serelay.relay import InProcessTransport, RemoteSecureElement, SecureElementHost
 from serelay.scenarios import run_pos_direct, run_relay_attack
-from serelay.secure_element import PREPAID_AID
+from serelay.secure_element import PREPAID_AID, SecureElement
 from serelay.terminal import APPROVED
 
 SEEDS = range(200)
+HOST_SEEDS = SEEDS[:50]
 RELAY_PATHS = [AccessPath.RELAY_WIFI, AccessPath.RELAY_INTERNET]
 # ascending; None (no timeout) is the largest
 TIMEOUTS = (300.0, 500.0, 800.0, 1000.0, 1200.0, 2000.0, None)
@@ -69,6 +75,20 @@ def over_tcp(**kwargs):
     if inproc.report is not None:
         assert exchange(tcp.report) == exchange(inproc.report)
     return tcp
+
+
+def via_se_host(policy=None, **kwargs):
+    """A relayed run whose relay app reaches the SE through an SE host.
+
+    The SE behind the host must have its wallet locked when the run returns:
+    a lost lock changes no report, so no relation would see it.
+    """
+    se = SecureElement(policy=policy)
+    result = run_relay_attack(
+        se=RemoteSecureElement(InProcessTransport(SecureElementHost(se))), **kwargs
+    )
+    assert se.wallet_locked
+    return result
 
 
 def clear_of_steps(step_ms: float, limit_ms: float) -> bool:
@@ -201,3 +221,31 @@ def test_a_ceiling_above_every_delay_changes_no_report_over_tcp():
     plain = run_relay_attack(seed=1, latency_params=params)
     assert capped.approved
     assert exchange(capped.report) == exchange(plain.report)
+
+
+@pytest.mark.parametrize("path", RELAY_PATHS)
+def test_relay_is_transparent_through_an_se_host(path):
+    for seed in HOST_SEEDS:
+        direct = run_pos_direct(seed=seed)
+        relayed = via_se_host(seed=seed, path=path)
+        assert relayed.session_error is None, seed
+        assert exchange(relayed.report) == exchange(direct), seed
+
+
+@pytest.mark.parametrize("policy", REFUSING_POLICIES, ids=["pin-on-card", "payment-aid-internal"])
+@pytest.mark.parametrize("path", RELAY_PATHS)
+def test_countermeasure_never_approves_a_relay_through_an_se_host(path, policy):
+    for seed in HOST_SEEDS:
+        assert not via_se_host(seed=seed, path=path, policy=policy).approved, seed
+
+
+@pytest.mark.parametrize("timeout_ms", [None, 1000.0])
+@pytest.mark.parametrize("path", RELAY_PATHS)
+def test_known_pin_makes_the_pin_check_invisible_through_an_se_host(path, timeout_ms):
+    for seed in HOST_SEEDS:
+        plain = via_se_host(seed=seed, path=path, timeout_ms=timeout_ms)
+        with_pin = via_se_host(
+            seed=seed, path=path, timeout_ms=timeout_ms, policy=PIN_ON_CARD, relay_pin="1234"
+        )
+        assert with_pin.session_error is None, seed
+        assert exchange(with_pin.report) == exchange(plain.report), seed

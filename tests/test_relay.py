@@ -37,7 +37,8 @@ from serelay.relay import (
     se_exchange,
 )
 from serelay.scenarios import run_relay_attack
-from serelay.secure_element import PREPAID_AID, WALLET_AID, ChannelOrigin, SecureElement
+from serelay.secure_element import INS_GPO, PREPAID_AID, WALLET_AID, ChannelOrigin, SecureElement
+from serelay.terminal import CARD_REMOVED, TerminalConfig, run_transaction
 
 
 class TestWireFrame:
@@ -627,6 +628,152 @@ class TestSecureElementHost:
             emulator.exchange(parse_hex(SELECT_PPSE_C))
         assert not relay.session_open
         assert se.wallet_locked
+
+
+class TestStalledSeHost:
+    """An SE host that stops answering is given up at REPLY_LIMIT_MS.
+
+    The relay app then hangs up on it, so no late reply can answer a later
+    command, and ends its own session with ACCESS_DENIED.
+    """
+
+    LIMIT_MS = 100.0
+
+    @pytest.fixture(autouse=True)
+    def short_limit(self, monkeypatch):
+        monkeypatch.setattr("serelay.relay.REPLY_LIMIT_MS", self.LIMIT_MS)
+
+    @staticmethod
+    def start(target, *args, name=None):
+        errors = []
+
+        def run():
+            try:
+                target(*args)
+            except Exception as exc:  # anything escaping the target is a traceback
+                errors.append(exc)
+
+        thread = threading.Thread(target=run, name=name, daemon=True)
+        thread.start()
+        return thread, errors
+
+    def relay_app(self, se_link: socket.socket):
+        """A relay app on its own thread whose SE is behind ``se_link``; and its peer."""
+        near, far = socket.socketpair()
+        relay = RelayApp(RemoteSecureElement(SocketTransport(se_link)))
+        thread, errors = self.start(relay.serve, SocketTransport(near), name="relay-app")
+        return thread, errors, SocketTransport(far)
+
+    def test_silent_host_at_open_refuses_the_session(self):
+        se_near, se_far = socket.socketpair()
+        thread, errors, peer = self.relay_app(se_near)
+        host_end = SocketTransport(se_far)
+        try:
+            started = time.monotonic()
+            peer.send_frame(WireFrame(FrameKind.SESSION_OPEN))
+            reply = peer.recv_frame(timeout_ms=1000)
+            assert time.monotonic() - started < 1.0
+            assert reply == error_frame(ErrorReason.ACCESS_DENIED, "SE unreachable")
+            # the host's one unanswered frame, then the relay app's hang-up
+            assert host_end.recv_frame(timeout_ms=1000).kind is FrameKind.SESSION_OPEN
+            with pytest.raises(TransportClosed):
+                host_end.recv_frame(timeout_ms=1000)
+        finally:
+            peer.close()
+            host_end.close()
+            thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert errors == []
+
+    @staticmethod
+    def answer_then_stall(se, transport, answers: int, release: threading.Event):
+        """An SE host that answers ``answers`` frames, then nothing until ``release``."""
+        host = SecureElementHost(se)
+        try:
+            for _ in range(answers):
+                for reply in host.handle_frame(transport.recv_frame(timeout_ms=5000), transport):
+                    transport.send_frame(reply)
+            release.wait(timeout=5)
+        finally:
+            host.end_session()
+            transport.close()
+
+    # the relay app's open takes four frames (open, SELECT wallet, UNLOCK,
+    # SELECT payment); the terminal's five steps take one each after that
+    @pytest.mark.parametrize("answers", [0, 2, 4, 6, 8])
+    def test_host_that_stalls_ends_the_run_at_the_limit(self, answers):
+        se = SecureElement()
+        se_near, se_far = socket.socketpair()
+        release = threading.Event()
+        host_thread, host_errors = self.start(
+            self.answer_then_stall, se, SocketTransport(se_far), answers, release
+        )
+        relay_thread, relay_errors, peer = self.relay_app(se_near)
+        emulator = CardEmulator(peer)
+        try:
+            started = time.monotonic()
+            try:
+                emulator.activate_field()
+            except ActivationRefused as refused:
+                assert answers < 4
+                assert refused.reason == "access_denied"
+            else:
+                assert answers >= 4
+                # a terminal deadline far past the limit, so the limit decides
+                report = run_transaction(emulator, TerminalConfig(timeout_ms=3000, seed=1))
+                assert report.outcome == CARD_REMOVED
+                assert report.reason == "relay reported access_denied"
+                assert len(report.steps) == answers - 4  # the stalled step is not one
+            assert time.monotonic() - started < self.LIMIT_MS / 1000 + 1.0
+        finally:
+            release.set()
+            emulator.close()
+            relay_thread.join(timeout=5)
+            host_thread.join(timeout=5)
+        assert not relay_thread.is_alive() and not host_thread.is_alive()
+        assert relay_errors == [] and host_errors == []
+        assert se.wallet_locked
+
+    def test_host_whose_se_stalls_locks_the_wallet_once_the_call_returns(self):
+        se = SecureElement()
+        stalled, release = threading.Event(), threading.Event()
+        process = se.process
+
+        def stall_on_gpo(origin, cmd):
+            if cmd.ins == INS_GPO:
+                stalled.set()
+                release.wait(timeout=5)
+            return process(origin, cmd)
+
+        se.process = stall_on_gpo
+        se_near, se_far = socket.socketpair()
+        host_thread, host_errors = self.start(
+            SecureElementHost(se).serve, SocketTransport(se_far), name="se-host"
+        )
+        relay_thread, relay_errors, peer = self.relay_app(se_near)
+        emulator = CardEmulator(peer)
+        try:
+            emulator.activate_field()
+            started = time.monotonic()
+            report = run_transaction(emulator, TerminalConfig(timeout_ms=3000, seed=1))
+            assert time.monotonic() - started < self.LIMIT_MS / 1000 + 1.0
+            assert report.outcome == CARD_REMOVED
+            assert [step.name for step in report.steps] == ["select_ppse", "select_aid"]
+            # the relay app gave up, but the host's call into the SE is still out
+            assert stalled.is_set() and host_thread.is_alive()
+            assert not se.wallet_locked
+            release.set()
+            # the host finds the relay app gone and ends its session
+            host_thread.join(timeout=1)
+            assert not host_thread.is_alive()
+            assert se.wallet_locked
+        finally:
+            release.set()
+            emulator.close()
+            relay_thread.join(timeout=5)
+            host_thread.join(timeout=5)
+        assert not relay_thread.is_alive()
+        assert relay_errors == [] and host_errors == []
 
 
 def send_in_pieces(sock: socket.socket, raw: bytes, r: random.Random) -> None:

@@ -1,9 +1,10 @@
 """Seeded round-trip properties of every format a run writes and reads.
 
 A histogram read back from its own CSV equals the one written, at any bin
-width; a stream of wire frames read through :class:`SocketTransport` gives
-back every frame, however the bytes are cut into sends. APDUs, TLV trees and
-config files parse back to the objects that wrote them.
+width, and a row labelled any other way is refused; a stream of wire frames
+read through :class:`SocketTransport` gives back every frame, however the
+bytes are cut into sends. APDUs, TLV trees and config files parse back to the
+objects that wrote them.
 """
 import itertools
 import random
@@ -59,6 +60,21 @@ def test_a_width_that_g_would_round_reads_back_exactly():
 def test_a_cell_that_is_not_a_number_names_its_row(row):
     with pytest.raises(ValueError, match=f"^row 0 has a field that is not a number: '{row}'$"):
         histogram_from_csv(f"bin_start_ms,bin_end_ms,count\n{row}\n50,overflow,3\n")
+
+
+@pytest.mark.parametrize(
+    "body, row, label",
+    [
+        ("0.0,50.0,1\n50.0,overflow,0", 0, "0,50"),
+        ("0,50,1\n50.0,overflow,0", 1, "50,overflow"),
+        ("0,5e1,1\n50,overflow,0", 0, "0,50"),
+        ("0,50,1\n50,100,2\n100.00,overflow,3", 2, "100,overflow"),
+        (" 0,50,1\n50,overflow,0", 0, "0,50"),
+    ],
+)
+def test_an_equal_edge_written_otherwise_is_refused_and_names_its_row(body, row, label):
+    with pytest.raises(ValueError, match=f"^row {row} is not labelled '{label}': "):
+        histogram_from_csv(f"bin_start_ms,bin_end_ms,count\n{body}\n")
 
 
 def frames_of_every_kind(r: random.Random) -> list[WireFrame]:
