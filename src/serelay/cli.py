@@ -222,7 +222,7 @@ def _ascii_note(data: bytes) -> str:
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
-    text = args.hex if args.hex else sys.stdin.read()
+    text = sys.stdin.read() if args.hex is None else args.hex
     try:
         raw = parse_hex(text)
     except ValueError as exc:

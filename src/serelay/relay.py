@@ -273,11 +273,10 @@ def connect(address: tuple[str, int], timeout_s: float) -> SocketTransport:
 class InProcessTransport:
     """Single-threaded transport that runs a handler on the caller's thread.
 
-    Used where both endpoints live in one process: ``recv_frame`` hands the
-    oldest sent frame and the caller's deadline to the handler, and the next
-    one while a frame gets no reply, so a pipelining client reads what it
-    would read over a socket. :class:`ExchangeTimeout` means the deadline
-    cut the last reply off. Waits move the run's virtual clock; ``now_ms`` reads it.
+    ``recv_frame`` hands the oldest sent frame and the caller's deadline to the
+    handler and returns its reply, or the next frame's if it has none, as a
+    pipelining client would read them over a socket; :class:`ExchangeTimeout`
+    means the deadline cut the last reply off. Waits move the run's virtual clock.
     """
 
     def __init__(self, handler: SessionEndpoint):
@@ -298,7 +297,8 @@ class InProcessTransport:
         if not self._sent:
             raise RelayProtocolError("no frame pending")
         while self._sent:
-            for reply in self._handler.handle_frame(self._sent.popleft(), self, timeout_ms):
+            reply = self._handler.handle_frame(self._sent.popleft(), self, timeout_ms)
+            if reply is not None:
                 return reply
         raise ExchangeTimeout("no frame within deadline")
 
@@ -391,52 +391,54 @@ class SessionEndpoint:
 
     def _relay(
         self, capdu: bytes, transport: Transport, deadline_ms: Optional[float]
-    ) -> list[WireFrame]:
+    ) -> Optional[WireFrame]:
         delay_ms = self.model.sample_ms() if self.model is not None else 0.0
         limit = math.inf if deadline_ms is None else deadline_ms
         ceiling = self.hard_ceiling_ms
         if ceiling is not None and not limit < ceiling:  # the ceiling wins a tie
             limit = ceiling
         if transport.wait_ms(delay_ms, limit):
-            return [WireFrame(FrameKind.R_APDU, se_exchange(self.se, self.origin, capdu))]
+            return WireFrame(FrameKind.R_APDU, se_exchange(self.se, self.origin, capdu))
         self.end_session()  # the command never reaches the SE
         if limit == ceiling:
-            return [error_frame(ErrorReason.TIMEOUT, f"{delay_ms:.0f}ms")]
-        return []
+            return error_frame(ErrorReason.TIMEOUT, f"{delay_ms:.0f}ms")
+        return None
 
     def handle_frame(
         self, frame: WireFrame, transport: Transport, deadline_ms: Optional[float] = None
-    ) -> list[WireFrame]:
+    ) -> Optional[WireFrame]:
+        """The reply to ``frame``, or None when a wait cut short ended the session silently."""
         if frame.kind is FrameKind.SESSION_OPEN:
             if self.session_open:
-                return [error_frame(ErrorReason.SESSION_STATE, "already open")]
+                return error_frame(ErrorReason.SESSION_STATE, "already open")
             try:
                 failure = self._open()
             except SessionFailed:
                 failure = error_frame(ErrorReason.ACCESS_DENIED, "SE unreachable")
             if failure is not None:
                 self._close()
-                return [failure]
+                return failure
             self.session_open = True
-            return [_OPEN_FRAME]
+            return _OPEN_FRAME
         if frame.kind is FrameKind.SESSION_CLOSE:
             self.end_session()
-            return [_CLOSE_FRAME]
+            return _CLOSE_FRAME
         if frame.kind is FrameKind.C_APDU:
             if not self.session_open:
-                return [error_frame(ErrorReason.SESSION_STATE, "session not open")]
+                return error_frame(ErrorReason.SESSION_STATE, "session not open")
             try:
                 return self._relay(frame.payload, transport, deadline_ms)
             except SessionFailed:
                 self.end_session()
-                return [error_frame(ErrorReason.ACCESS_DENIED, "SE unreachable")]
-        return [error_frame(ErrorReason.SESSION_STATE, f"unexpected {frame.kind.name}")]
+                return error_frame(ErrorReason.ACCESS_DENIED, "SE unreachable")
+        return error_frame(ErrorReason.SESSION_STATE, f"unexpected {frame.kind.name}")
 
     def serve(self, transport: Transport) -> None:
-        """Drive one connection until the peer goes away or idles past IDLE_LIMIT_MS."""
+        """Send each frame's reply, if any, until the peer goes or idles past IDLE_LIMIT_MS."""
         try:
             while True:
-                for reply in self.handle_frame(transport.recv_frame(IDLE_LIMIT_MS), transport):
+                reply = self.handle_frame(transport.recv_frame(IDLE_LIMIT_MS), transport)
+                if reply is not None:
                     transport.send_frame(reply)
         except (TransportClosed, RelayProtocolError, ExchangeTimeout):
             pass

@@ -368,6 +368,16 @@ class TestDecode:
         assert rc == 0
         assert "INS=B2" in capsys.readouterr().out
 
+    def test_empty_argument_is_decoded_not_stdin(self, capsys, monkeypatch):
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO("00A4040000"))
+        rc = main(["decode", "--kind", "capdu", ""])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "command frame too short (0 bytes)" in captured.err
+        assert captured.out == ""
+
 
 class TestConfigFiles:
     def test_custom_profile_used(self, tmp_path, capsys):

@@ -150,16 +150,16 @@ class TestRelaySession:
 
     def test_apdu_requires_open_session(self):
         _, relay, emulator = make_pair()
-        replies = relay.handle_frame(
+        reply = relay.handle_frame(
             WireFrame(FrameKind.C_APDU, b"\x00\x00\x00\x00"), emulator.transport
         )
-        assert replies[0].kind is FrameKind.ERROR
+        assert reply.kind is FrameKind.ERROR
 
     def test_double_open_errors(self):
         _, relay, emulator = make_pair()
         emulator.activate_field()
-        replies = relay.handle_frame(WireFrame(FrameKind.SESSION_OPEN), emulator.transport)
-        assert replies[0].kind is FrameKind.ERROR
+        reply = relay.handle_frame(WireFrame(FrameKind.SESSION_OPEN), emulator.transport)
+        assert reply.kind is FrameKind.ERROR
 
     def test_exchange_without_activation(self):
         _, _, emulator = make_pair()
@@ -314,11 +314,11 @@ class TestLatencyInjection:
         se = SecureElement()
         relay = RelayApp(se, model=FixedDelay(), hard_ceiling_ms=ceiling_ms)
         relay.handle_frame(WireFrame(FrameKind.SESSION_OPEN), transport)
-        replies = relay.handle_frame(
+        reply = relay.handle_frame(
             WireFrame(FrameKind.C_APDU, parse_hex(SELECT_PPSE_C)), transport, deadline_ms
         )
         assert transport.limits == [limit_ms]
-        assert replies == ([error_frame(ErrorReason.TIMEOUT, "1000ms")] if timeout_frame else [])
+        assert reply == (error_frame(ErrorReason.TIMEOUT, "1000ms") if timeout_frame else None)
         assert not relay.session_open
         assert se.wallet_locked
         assert se.selected[ChannelOrigin.INTERNAL] is None
@@ -691,7 +691,8 @@ class TestStalledSeHost:
         host = SecureElementHost(se)
         try:
             for _ in range(answers):
-                for reply in host.handle_frame(transport.recv_frame(timeout_ms=5000), transport):
+                reply = host.handle_frame(transport.recv_frame(timeout_ms=5000), transport)
+                if reply is not None:
                     transport.send_frame(reply)
             release.wait(timeout=5)
         finally:
